@@ -9,6 +9,10 @@
 //! records the §IV waste for the scalar assumption next to the waste with
 //! `R` replaced by the measured ratio — the measured-C/R column.
 //!
+//! Each leg drives the life cycle `repeats()` times on a fresh pipeline and
+//! reports, per operation, the median next to min/mean/max over every
+//! record; the derived ratios use the medians.
+//!
 //! Run with `cargo bench -p ft-bench --bench ckpt_pipeline`; the final line
 //! prints a JSON summary suitable for `BENCH_ckpt_pipeline.json`.  Set
 //! `FT_BENCH_SMOKE=1` (as CI does) for a seconds-long smoke run.
@@ -18,7 +22,7 @@ use ft_bench::host_json_fields;
 use ft_ckpt::backend::{CheckpointBackend, ChunkedFileBackend, MemoryBackend};
 use ft_ckpt::coordinated::CoordinatedCheckpoint;
 use ft_ckpt::incremental::IncrementalCheckpoint;
-use ft_ckpt::pipeline::{CheckpointPipeline, CostSummary, PipelineOp};
+use ft_ckpt::pipeline::{CheckpointPipeline, CostSummary, GenerationCost, PipelineOp};
 use ft_ckpt::state::ProcessSet;
 use ft_composite::model;
 use ft_composite::params::ModelParams;
@@ -47,6 +51,15 @@ fn generations() -> usize {
     }
 }
 
+/// Life cycles driven per leg; each contributes one restore record.
+fn repeats() -> usize {
+    if smoke() {
+        2
+    } else {
+        7
+    }
+}
+
 fn evolve(set: &mut ProcessSet, round: u8) {
     for p in set.iter_mut() {
         let ids: Vec<usize> = p.regions().iter().map(|r| r.id).collect();
@@ -63,11 +76,11 @@ fn evolve(set: &mut ProcessSet, round: u8) {
 
 /// Drives one pipeline through a full write/verify/restore life cycle
 /// (full commits with incremental deltas in between, every generation
-/// verified, one verified restore at the end) and returns the per-op cost
-/// distributions.
+/// verified, one verified restore at the end) and returns its per-op cost
+/// records.
 fn drive<C: ChecksumGen + Clone, B: CheckpointBackend>(
     mut pipeline: CheckpointPipeline<C, B>,
-) -> Vec<CostSummary> {
+) -> Vec<GenerationCost> {
     let mut set = make_set();
     let mut base_image = CoordinatedCheckpoint::capture(&set, 0.0);
     let mut base_generation = pipeline.commit_full(&base_image).unwrap();
@@ -92,10 +105,18 @@ fn drive<C: ChecksumGen + Clone, B: CheckpointBackend>(
         set.fingerprint(),
         "restored image must match the live state"
     );
-    pipeline.cost_summary()
+    pipeline.costs().to_vec()
 }
 
-fn mean_of(summaries: &[CostSummary], op: PipelineOp) -> Option<&CostSummary> {
+/// Per-op summaries over `repeats()` life cycles, each on a fresh pipeline.
+fn drive_repeated<C: ChecksumGen + Clone, B: CheckpointBackend>(
+    new_pipeline: impl Fn() -> CheckpointPipeline<C, B>,
+) -> Vec<CostSummary> {
+    let records: Vec<GenerationCost> = (0..repeats()).flat_map(|_| drive(new_pipeline())).collect();
+    CostSummary::of(&records)
+}
+
+fn summary_of(summaries: &[CostSummary], op: PipelineOp) -> Option<&CostSummary> {
     summaries.iter().find(|s| s.op == op)
 }
 
@@ -130,20 +151,28 @@ fn bench_pipeline_ops(c: &mut Criterion) {
 }
 
 /// One reported pipeline leg: its cost distributions plus identity.
+/// `bytes_per_s` is the median record's throughput.
 fn leg_json(name: &str, summaries: &[CostSummary]) -> String {
     let op_json = |label: &str, op: PipelineOp| {
-        mean_of(summaries, op).map_or_else(
+        summary_of(summaries, op).map_or_else(
             || format!("\"{label}\": null"),
             |s| {
-                let throughput = if s.mean_seconds > 0.0 {
-                    (s.total_raw_bytes as f64 / s.count as f64) / s.mean_seconds
+                let throughput = if s.median_seconds > 0.0 {
+                    (s.total_raw_bytes as f64 / s.count as f64) / s.median_seconds
                 } else {
                     0.0
                 };
                 format!(
-                    "\"{label}\": {{\"count\": {}, \"min_s\": {:.9}, \"mean_s\": {:.9}, \
-                     \"max_s\": {:.9}, \"raw_bytes\": {}, \"bytes_per_s\": {:.0}}}",
-                    s.count, s.min_seconds, s.mean_seconds, s.max_seconds, s.total_raw_bytes,
+                    "\"{label}\": {{\"count\": {}, \"repeats\": {}, \"min_s\": {:.9}, \
+                     \"median_s\": {:.9}, \"mean_s\": {:.9}, \"max_s\": {:.9}, \
+                     \"raw_bytes\": {}, \"bytes_per_s\": {:.0}}}",
+                    s.count,
+                    repeats(),
+                    s.min_seconds,
+                    s.median_seconds,
+                    s.mean_seconds,
+                    s.max_seconds,
+                    s.total_raw_bytes,
                     throughput,
                 )
             },
@@ -163,16 +192,15 @@ fn leg_json(name: &str, summaries: &[CostSummary]) -> String {
 /// comparison column with the measured restore/write ratio replacing the
 /// scalar `R = C` assumption.
 fn report_json(_c: &mut Criterion) {
-    let crc_memory = drive(CheckpointPipeline::new(Crc32::new(), MemoryBackend::new()));
-    let null_memory = drive(CheckpointPipeline::new(NullChecksum, MemoryBackend::new()));
-    let crc_file = drive(CheckpointPipeline::new(
-        Crc32::new(),
-        ChunkedFileBackend::new(256 * 1024).unwrap(),
-    ));
+    let crc_memory = drive_repeated(|| CheckpointPipeline::new(Crc32::new(), MemoryBackend::new()));
+    let null_memory = drive_repeated(|| CheckpointPipeline::new(NullChecksum, MemoryBackend::new()));
+    let crc_file = drive_repeated(|| {
+        CheckpointPipeline::new(Crc32::new(), ChunkedFileBackend::new(256 * 1024).unwrap())
+    });
 
-    let write_crc = mean_of(&crc_memory, PipelineOp::WriteFull).unwrap().mean_seconds;
-    let write_null = mean_of(&null_memory, PipelineOp::WriteFull).unwrap().mean_seconds;
-    let restore_crc = mean_of(&crc_memory, PipelineOp::Restore).unwrap().mean_seconds;
+    let write_crc = summary_of(&crc_memory, PipelineOp::WriteFull).unwrap().median_seconds;
+    let write_null = summary_of(&null_memory, PipelineOp::WriteFull).unwrap().median_seconds;
+    let restore_crc = summary_of(&crc_memory, PipelineOp::Restore).unwrap().median_seconds;
     let checksum_overhead = if write_null > 0.0 { write_crc / write_null } else { 1.0 };
     // Measured restore/write asymmetry: what the paper's scalar model pins
     // at R/C = 1.  Either direction occurs in practice — a write pays

@@ -197,16 +197,30 @@ impl<C: ChecksumGen + Clone> FrameWriter<C> {
     }
 
     /// Appends body bytes; full chunks are framed and emitted as they fill.
-    pub fn push(&mut self, data: &[u8]) {
+    ///
+    /// Full chunks are framed straight from `data`; only a partial chunk
+    /// carried over to the next call is buffered, so the work is linear in
+    /// the bytes pushed.
+    pub fn push(&mut self, mut data: &[u8]) {
         self.stream_gen.push(data);
         self.body_len += data.len() as u64;
-        self.pending.extend_from_slice(data);
-        while self.pending.len() >= self.chunk_size {
-            let rest = self.pending.split_off(self.chunk_size);
+        if !self.pending.is_empty() {
+            let take = (self.chunk_size - self.pending.len()).min(data.len());
+            self.pending.extend_from_slice(&data[..take]);
+            data = &data[take..];
+            if self.pending.len() < self.chunk_size {
+                return;
+            }
             emit_frame(&mut self.out, &mut self.frame_gen, KIND_CHUNK, &self.pending);
             self.chunks += 1;
-            self.pending = rest;
+            self.pending.clear();
         }
+        let mut full = data.chunks_exact(self.chunk_size);
+        for chunk in &mut full {
+            emit_frame(&mut self.out, &mut self.frame_gen, KIND_CHUNK, chunk);
+            self.chunks += 1;
+        }
+        self.pending.extend_from_slice(full.remainder());
     }
 
     /// Flushes any partial chunk, emits the trailer and returns the encoded
@@ -242,6 +256,17 @@ pub fn encode_stream<C: ChecksumGen + Clone>(
 // Frame reader
 // ---------------------------------------------------------------------------
 
+/// Little-endian `u32` from the first 4 bytes of `s`.  Callers pass slices
+/// whose length a bounds check or `Reader::take` has just established.
+fn le_u32(s: &[u8]) -> u32 {
+    u32::from_le_bytes([s[0], s[1], s[2], s[3]])
+}
+
+/// Little-endian `u64` from the first 8 bytes of `s`; see `le_u32`.
+fn le_u64(s: &[u8]) -> u64 {
+    u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
+}
+
 /// Parses and verifies a frame stream, returning its header and body.
 ///
 /// Every frame checksum is validated, the stream checksum of the reassembled
@@ -271,7 +296,7 @@ pub fn decode_stream<C: ChecksumGen + Clone>(
             return Err(FrameFault::TornWrite { frame_index });
         }
         let kind = bytes[at];
-        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().expect("4 bytes"));
+        let len = le_u32(&bytes[at + 1..at + 5]);
         let total = 5usize
             .checked_add(len as usize)
             .and_then(|n| n.checked_add(4))
@@ -280,8 +305,7 @@ pub fn decode_stream<C: ChecksumGen + Clone>(
             return Err(FrameFault::TornWrite { frame_index });
         }
         let payload = &bytes[at + 5..at + 5 + len as usize];
-        let stored =
-            u32::from_le_bytes(bytes[at + 5 + len as usize..at + total].try_into().expect("4 bytes"));
+        let stored = le_u32(&bytes[at + 5 + len as usize..at + total]);
         frame_gen.reset();
         frame_gen.push(&bytes[at..at + 5]);
         frame_gen.push(payload);
@@ -301,9 +325,9 @@ pub fn decode_stream<C: ChecksumGen + Clone>(
                 if payload.len() != 16 {
                     return Err(FrameFault::CorruptFrame { frame_index });
                 }
-                let body_len = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-                let chunk_count = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
-                let stream_sum = u32::from_le_bytes(payload[12..16].try_into().expect("4 bytes"));
+                let body_len = le_u64(&payload[0..8]);
+                let chunk_count = le_u32(&payload[8..12]);
+                let stream_sum = le_u32(&payload[12..16]);
                 if body_len != body.len() as u64
                     || chunk_count != chunks
                     || stream_sum != stream_gen.value()
@@ -361,7 +385,7 @@ pub fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
     let mut at = 0usize;
     let mut bounds = vec![0];
     while bytes.len() - at >= 9 {
-        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().expect("4 bytes")) as usize;
+        let len = le_u32(&bytes[at + 1..at + 5]) as usize;
         let Some(total) = 9usize.checked_add(len) else {
             break;
         };
@@ -402,11 +426,11 @@ impl<'a> Reader<'a> {
     }
 
     fn u32(&mut self, what: &'static str) -> Result<u32, FrameFault> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
+        Ok(le_u32(self.take(4, what)?))
     }
 
     fn u64(&mut self, what: &'static str) -> Result<u64, FrameFault> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
+        Ok(le_u64(self.take(8, what)?))
     }
 
     fn f64(&mut self, what: &'static str) -> Result<f64, FrameFault> {
@@ -547,6 +571,8 @@ mod tests {
     use super::*;
     use crate::state::ProcessSet;
     use ft_platform::checksum::{Crc32, NullChecksum};
+    use ft_platform::rng::{DeterministicRng, Xoshiro256};
+    use proptest::prelude::*;
 
     fn image() -> CoordinatedCheckpoint {
         let mut set = ProcessSet::uniform(3, 300, 150);
@@ -683,15 +709,116 @@ mod tests {
         assert!(decode_coordinated(&enc).is_err());
     }
 
-    #[test]
-    fn streaming_writer_matches_one_shot_encoding() {
-        let body = encode_coordinated(&image());
-        let one_shot = encode_stream(header(3), &body, 512, Crc32::new());
-        let mut w = FrameWriter::new(header(3), 512, Crc32::new());
-        for piece in body.chunks(100) {
-            w.push(piece);
+    /// Feeds `body` to a streaming writer as consecutive pieces of the given
+    /// lengths (the last piece takes whatever is left).
+    fn stream_in_pieces(body: &[u8], pieces: &[usize], chunk_size: usize) -> Vec<u8> {
+        let mut w = FrameWriter::new(header(3), chunk_size, Crc32::new());
+        let mut at = 0;
+        for &len in pieces {
+            let end = (at + len).min(body.len());
+            w.push(&body[at..end]);
+            at = end;
         }
-        assert_eq!(w.finish(), one_shot);
+        w.push(&body[at..]);
+        w.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Any piece sequence — empty pieces, pieces spanning several
+        /// chunks, pieces straddling a chunk boundary — produces the
+        /// one-shot encoding byte for byte.
+        #[test]
+        fn streaming_writer_matches_one_shot_encoding(
+            chunk_pick in 0usize..3,
+            shapes in proptest::collection::vec((0u8..4, 0usize..1 << 14), 0..12),
+            seed in 0u64..u64::MAX,
+        ) {
+            let chunk_size = [1usize, 7, DEFAULT_CHUNK_SIZE][chunk_pick];
+            let pieces: Vec<usize> = shapes
+                .iter()
+                .map(|&(shape, n)| match shape {
+                    0 => 0,
+                    // Short: stays within, or straddles, one chunk.
+                    1 => 1 + n % chunk_size.max(2),
+                    // Exact multiple of the chunk size.
+                    2 => chunk_size * (1 + n % 3),
+                    // Spans several chunks at an arbitrary offset.
+                    _ => n % (3 * chunk_size + 11),
+                })
+                .collect();
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let len = pieces.iter().sum::<usize>() + (seed % 5) as usize;
+            let body: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let one_shot = encode_stream(header(3), &body, chunk_size, Crc32::new());
+            prop_assert_eq!(stream_in_pieces(&body, &pieces, chunk_size), one_shot);
+        }
+    }
+
+    #[test]
+    fn streaming_writer_handles_chunk_boundary_pieces() {
+        let body = encode_coordinated(&image());
+        for chunk in [1usize, 7, 512, DEFAULT_CHUNK_SIZE] {
+            let one_shot = encode_stream(header(3), &body, chunk, Crc32::new());
+            for pieces in [
+                vec![100; body.len() / 100],
+                vec![0, chunk, 0, chunk, 0],
+                vec![chunk - 1, 1, chunk + 1, chunk - 1],
+                vec![chunk / 2, chunk - chunk / 2, 3 * chunk],
+                vec![body.len()],
+                vec![0; 4],
+            ] {
+                assert_eq!(
+                    stream_in_pieces(&body, &pieces, chunk),
+                    one_shot,
+                    "chunk {chunk}, pieces {pieces:?}"
+                );
+            }
+        }
+    }
+
+    /// The on-disk format pinned: stream length and CRC-32 of the whole
+    /// stream for one full image and one REMAINDER partial, as encoded by
+    /// the quadratic-copy writer and bytewise CRC this format shipped with.
+    #[test]
+    fn stored_stream_bytes_are_pinned() {
+        use ft_platform::checksum::ChecksumGen;
+
+        let mut set = ProcessSet::uniform(4, 10_000, 3_000);
+        set.process_mut(2).unwrap().advance(3.5);
+        let full = CoordinatedCheckpoint::capture(&set, 12.5);
+        let part = PartialCheckpoint::capture(&set, DatasetKind::Remainder, 13.5);
+        let cases = [
+            (
+                FrameHeader {
+                    generation: 7,
+                    payload: PayloadKind::Full,
+                    time: 12.5,
+                },
+                encode_coordinated(&full),
+                52_475,
+                0x157D_F09B,
+            ),
+            (
+                FrameHeader {
+                    generation: 8,
+                    payload: PayloadKind::Partial {
+                        dataset: DatasetKind::Remainder,
+                        base: 7,
+                    },
+                    time: 13.5,
+                },
+                encode_partial(&part),
+                12_286,
+                0x7EEF_4144,
+            ),
+        ];
+        for (h, body, len, crc) in cases {
+            let bytes = encode_stream(h, &body, DEFAULT_CHUNK_SIZE, Crc32::new());
+            assert_eq!(bytes.len(), len, "{:?}", h.payload);
+            assert_eq!(Crc32::new().checksum_of(&bytes), crc, "{:?}", h.payload);
+        }
     }
 
     #[test]

@@ -73,6 +73,9 @@ pub struct CostSummary {
     pub count: usize,
     /// Minimum seconds.
     pub min_seconds: f64,
+    /// Median seconds (the mean of the two middle records when the count
+    /// is even).
+    pub median_seconds: f64,
     /// Mean seconds.
     pub mean_seconds: f64,
     /// Maximum seconds.
@@ -452,6 +455,15 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
 
     /// Per-operation-class aggregates over [`CheckpointPipeline::costs`].
     pub fn cost_summary(&self) -> Vec<CostSummary> {
+        CostSummary::of(&self.costs)
+    }
+}
+
+impl CostSummary {
+    /// Per-operation-class aggregates over any cost records: one pipeline's
+    /// [`CheckpointPipeline::costs`], or the records of several pipelines
+    /// concatenated.
+    pub fn of(costs: &[GenerationCost]) -> Vec<CostSummary> {
         let classes = [
             PipelineOp::WriteFull,
             PipelineOp::WriteDelta,
@@ -463,19 +475,25 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
         classes
             .iter()
             .filter_map(|&op| {
-                let records: Vec<&GenerationCost> =
-                    self.costs.iter().filter(|c| c.op == op).collect();
+                let records: Vec<&GenerationCost> = costs.iter().filter(|c| c.op == op).collect();
                 if records.is_empty() {
                     return None;
                 }
                 let count = records.len();
-                let total: f64 = records.iter().map(|c| c.seconds).sum();
+                let mut seconds: Vec<f64> = records.iter().map(|c| c.seconds).collect();
+                seconds.sort_by(f64::total_cmp);
+                let median_seconds = if count % 2 == 1 {
+                    seconds[count / 2]
+                } else {
+                    0.5 * (seconds[count / 2 - 1] + seconds[count / 2])
+                };
                 Some(CostSummary {
                     op,
                     count,
-                    min_seconds: records.iter().map(|c| c.seconds).fold(f64::MAX, f64::min),
-                    mean_seconds: total / count as f64,
-                    max_seconds: records.iter().map(|c| c.seconds).fold(0.0, f64::max),
+                    min_seconds: seconds[0],
+                    median_seconds,
+                    mean_seconds: seconds.iter().sum::<f64>() / count as f64,
+                    max_seconds: seconds[count - 1],
                     total_raw_bytes: records.iter().map(|c| c.raw_bytes).sum(),
                 })
             })
@@ -722,6 +740,33 @@ mod tests {
     }
 
     #[test]
+    fn cost_summary_reports_the_median_of_odd_and_even_counts() {
+        let record = |op, seconds| GenerationCost {
+            generation: 0,
+            op,
+            raw_bytes: 10,
+            stored_bytes: 12,
+            seconds,
+        };
+        let costs = [
+            record(PipelineOp::Verify, 0.5),
+            record(PipelineOp::WriteFull, 3.0),
+            record(PipelineOp::Verify, 0.1),
+            record(PipelineOp::WriteFull, 1.0),
+            record(PipelineOp::Verify, 0.3),
+            record(PipelineOp::WriteFull, 9.0),
+            record(PipelineOp::WriteFull, 2.0),
+        ];
+        let summary = CostSummary::of(&costs);
+        let write = summary.iter().find(|s| s.op == PipelineOp::WriteFull).unwrap();
+        assert_eq!((write.count, write.median_seconds), (4, 2.5));
+        assert_eq!((write.min_seconds, write.mean_seconds, write.max_seconds), (1.0, 3.75, 9.0));
+        assert_eq!(write.total_raw_bytes, 40);
+        let verify = summary.iter().find(|s| s.op == PipelineOp::Verify).unwrap();
+        assert_eq!((verify.count, verify.median_seconds), (3, 0.3));
+    }
+
+    #[test]
     fn costs_are_recorded_per_operation_class() {
         let set = ProcessSet::uniform(2, 64, 64);
         let image = CoordinatedCheckpoint::capture(&set, 1.0);
@@ -737,6 +782,7 @@ mod tests {
         for s in &summary {
             assert_eq!(s.count, 1);
             assert!(s.min_seconds <= s.mean_seconds && s.mean_seconds <= s.max_seconds);
+            assert_eq!(s.median_seconds, s.mean_seconds);
         }
         // Framing adds overhead: stored > raw for the write.
         let write = p.costs().iter().find(|c| c.op == PipelineOp::WriteFull).unwrap();

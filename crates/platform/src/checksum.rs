@@ -11,6 +11,12 @@
 //! Generators are streaming — `reset`, then any number of `push` calls,
 //! then `value` — so the frame writer can checksum chunked payloads without
 //! buffering them, and the same generator instance is reused across frames.
+//!
+//! [`Crc32`] uses slicing-by-8: eight compile-time tables fold 8 input
+//! bytes per table step, and a bytewise loop handles the tail.  The frame
+//! writer runs two CRC passes over every body byte (its chunk frame and the
+//! stream trailer), so this loop bounds the cost of a checkpoint write and
+//! of its verify.
 
 /// A streaming 32-bit checksum generator.
 ///
@@ -39,10 +45,12 @@ pub trait ChecksumGen {
     fn name(&self) -> &'static str;
 }
 
-/// The CRC-32/ISO-HDLC lookup table (reflected polynomial `0xEDB88320`),
-/// built at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 lookup tables of CRC-32/ISO-HDLC (reflected polynomial
+/// `0xEDB88320`), built at compile time.  `tables[0]` is the classic
+/// bytewise table; `tables[k][b]` is the CRC register after byte `b`
+/// followed by `k` zero bytes, so eight lookups fold eight input bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -51,13 +59,23 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32/ISO-HDLC (a.k.a. the zlib/PNG/Ethernet CRC-32): init `0xFFFFFFFF`,
 /// reflected polynomial `0xEDB88320`, final XOR `0xFFFFFFFF`.
@@ -86,9 +104,23 @@ impl ChecksumGen for Crc32 {
     }
 
     fn push(&mut self, data: &[u8]) {
+        let t = &CRC32_TABLES;
         let mut c = self.state;
-        for &b in data {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut blocks = data.chunks_exact(8);
+        for b in &mut blocks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -155,6 +187,69 @@ mod tests {
             chunked.push(chunk);
         }
         assert_eq!(chunked.value(), one);
+    }
+
+    /// Bit-at-a-time CRC-32/ISO-HDLC written straight from the reflected
+    /// polynomial: the reference the table-driven generator must equal.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { (c >> 1) ^ 0xEDB8_8320 } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn every_short_length_and_offset_matches_the_bitwise_reference() {
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926, "reference check vector");
+        let data: Vec<u8> = (0..72u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let end = offset + len;
+                let mut c = Crc32::new();
+                assert_eq!(
+                    c.checksum_of(&data[offset..end]),
+                    crc32_bitwise(&data[offset..end]),
+                    "slice at offset {offset}, length {len}"
+                );
+                // The same bytes continuing a stream that is `offset` bytes
+                // in, so the 8-byte blocks straddle the earlier push.
+                c.reset();
+                c.push(&data[..offset]);
+                c.push(&data[offset..end]);
+                assert_eq!(c.value(), crc32_bitwise(&data[..end]), "stream {offset} + {len}");
+            }
+        }
+    }
+
+    mod slicing_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random buffers pushed in random splits checksum exactly as
+            /// the bitwise reference does on the whole buffer.
+            #[test]
+            fn random_splits_match_the_bitwise_reference(
+                bytes in proptest::collection::vec(0u8..=255, 0..2048),
+                cuts in proptest::collection::vec(0usize..2048, 0..8),
+            ) {
+                let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+                cuts.push(0);
+                cuts.push(bytes.len());
+                cuts.sort_unstable();
+                let mut c = Crc32::new();
+                for w in cuts.windows(2) {
+                    c.push(&bytes[w[0]..w[1]]);
+                }
+                prop_assert_eq!(c.value(), crc32_bitwise(&bytes));
+            }
+        }
     }
 
     #[test]
