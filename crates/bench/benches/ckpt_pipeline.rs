@@ -43,11 +43,14 @@ fn make_set() -> ProcessSet {
     }
 }
 
+/// Generations committed per life cycle: every fourth is a full image and
+/// the count is one past a multiple of four, so the cycle ends on a full
+/// image and the measured restore reads exactly one stream.
 fn generations() -> usize {
     if smoke() {
-        8
+        9
     } else {
-        32
+        33
     }
 }
 
@@ -76,8 +79,8 @@ fn evolve(set: &mut ProcessSet, round: u8) {
 
 /// Drives one pipeline through a full write/verify/restore life cycle
 /// (full commits with incremental deltas in between, every generation
-/// verified, one verified restore at the end) and returns its per-op cost
-/// records.
+/// verified, one verified restore of the final full image at the end) and
+/// returns its per-op cost records.
 fn drive<C: ChecksumGen + Clone, B: CheckpointBackend>(
     mut pipeline: CheckpointPipeline<C, B>,
 ) -> Vec<GenerationCost> {
@@ -85,6 +88,7 @@ fn drive<C: ChecksumGen + Clone, B: CheckpointBackend>(
     let mut base_image = CoordinatedCheckpoint::capture(&set, 0.0);
     let mut base_generation = pipeline.commit_full(&base_image).unwrap();
     pipeline.verify(base_generation).unwrap();
+    let mut latest = base_generation;
     for g in 1..generations() {
         evolve(&mut set, g as u8);
         let time = g as f64;
@@ -97,9 +101,18 @@ fn drive<C: ChecksumGen + Clone, B: CheckpointBackend>(
             pipeline.commit_delta(&delta, base_generation).unwrap()
         };
         pipeline.verify(generation).unwrap();
+        latest = generation;
     }
     let (restored, outcome) = pipeline.restore_latest().unwrap();
     assert_eq!(outcome.fallback_depth, 0);
+    // The restored generation is the newest one and a full image, so the
+    // restore fetched one stream and no delta chain: its cost matches the
+    // one-image `raw_bytes` it reports.
+    assert_eq!(outcome.generation, latest);
+    assert_eq!(
+        latest, base_generation,
+        "the life cycle must end on a full image"
+    );
     assert_eq!(
         restored.materialize().unwrap().fingerprint(),
         set.fingerprint(),

@@ -41,10 +41,7 @@ use ft_platform::failure::FailureSpec;
 use ft_platform::rng::{SeedStream, SplitMix64};
 use ft_platform::scenario::ScenarioSpec;
 use ft_platform::special::normal_cdf;
-use ft_sim::batch::{
-    accumulate_paired_programs_batch, accumulate_profile_program_batch, BatchProgram,
-    BatchProgramCache, DEFAULT_BATCH_LANES,
-};
+use ft_sim::batch::{accumulate_batch, BatchProgram, BatchProgramCache, DEFAULT_BATCH_LANES};
 use ft_sim::replicate::{
     accumulate_paired_engine, accumulate_profile_engine, PairedAccumulator, ReplicationBudget,
     ReplicationPlan, SimStats,
@@ -693,14 +690,16 @@ impl SweepSpec {
                 // dispatch is purely a throughput decision.
                 let acc = if self.batch_lanes > 1 {
                     let program = cache.get(protocol, &profile, engine.plan());
-                    accumulate_profile_program_batch(
+                    accumulate_batch(
                         &engine,
-                        &program,
+                        &[&*program],
                         self.plan(),
                         seed,
                         self.batch_lanes,
                         self.point_threads,
                     )
+                    .outcomes
+                    .swap_remove(0)
                 } else {
                     accumulate_profile_engine(&engine, protocol, &profile, self.plan(), seed)
                 };
@@ -734,9 +733,8 @@ impl SweepSpec {
                         .map(|&p| cache.get(p, &profile, engine.plan()))
                         .collect();
                     let refs: Vec<&BatchProgram> = programs.iter().map(|p| p.as_ref()).collect();
-                    accumulate_paired_programs_batch(
+                    accumulate_batch(
                         &engine,
-                        &self.protocols,
                         &refs,
                         self.plan(),
                         seed,

@@ -17,7 +17,8 @@
 //! ABFT-protected phases — is a pure function of `(protocol, profile,
 //! plan)`.  [`BatchProgram::compile`] materialises that sequence once per
 //! parameter point; lanes then share the program position while owning their
-//! simulation clocks.
+//! simulation clocks.  The same compiled program is what crash-resume
+//! ([`crate::resume`]) walks, one clock at a time.
 //!
 //! # Why the result is bit-exact
 //!
@@ -32,10 +33,10 @@
 //!   can't hold for a nonnegative checkpoint under round-to-nearest), and the
 //!   committed end time is the bit pattern the scalar clock would hold;
 //! * **slow path** — a lane whose step may be interrupted is left untouched
-//!   by the optimistic pass and is then replayed through per-lane code that
-//!   is *verbatim* the scalar control flow of [`crate::engine`] /
-//!   [`crate::clock::SimClock::try_run`], drawing from that lane's own
-//!   failure source.
+//!   by the optimistic pass and is then replayed through the step
+//!   interpreter, whose retry loops are the scalar control flow of
+//!   [`crate::engine`] / [`crate::clock::SimClock::try_run`], drawing from
+//!   that lane's own failure source.
 //!
 //! Per-lane failure sequences come from [`BatchFailureSource`]s whose lanes
 //! are bit-identical to the scalar sources (see `ft_platform::batch`), so
@@ -49,28 +50,24 @@
 //! * [`simulate_profile_batch`] / [`simulate_profile_batch_antithetic`] /
 //!   [`simulate_profile_batch_replay`] — one batch, one outcome per lane
 //!   (the oracle harness surface);
-//! * [`accumulate_profile_engine_batch`] — batch counterpart of
-//!   [`crate::replicate::accumulate_profile_engine`]: same seed stream, same
-//!   push order, same adaptive stopping checks, bit-identical accumulator;
-//! * [`accumulate_paired_engine_batch`] — batch counterpart of
-//!   [`crate::replicate::accumulate_paired_engine`] (common random numbers
-//!   across protocols, paired-delta stopping);
-//! * [`accumulate_profile_program_batch`] / [`accumulate_paired_programs_batch`]
-//!   — the same drivers over a pre-compiled (usually
-//!   [`BatchProgramCache`]d) program, with an intra-point `threads` knob
-//!   that splits replication blocks across OS threads while staying
-//!   bit-identical to the serial drivers (deterministic
-//!   [`SeedStream::nth_seed`] offsets, order-preserving merge, stopping
-//!   checks on the same block boundaries).
+//! * [`accumulate_batch`] — the replication driver over one or more
+//!   pre-compiled (usually [`BatchProgramCache`]d) programs: the batch
+//!   counterpart of [`crate::replicate::accumulate_profile_engine`] (one
+//!   program, read `outcomes[0]`) and of
+//!   [`crate::replicate::accumulate_paired_engine`] (several programs,
+//!   common random numbers).  Same seed stream, same push order, same
+//!   stopping checks, bit-identical accumulators — at every lane width and
+//!   every intra-point `threads` count.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use ft_composite::scenario::ApplicationProfile;
 use ft_platform::batch::{BatchFailureSource, BatchFailureStream, BatchTraceBuffer};
-use ft_platform::failure::FailureModel;
+use ft_platform::failure::{AnyFailureModel, FailureModel};
 use ft_platform::rng::SeedStream;
 
+use crate::clock::{ActivityResult, TryRun};
 use crate::engine::{Engine, PeriodPlan};
 use crate::protocols::{Protocol, SimOutcome};
 use crate::replicate::{PairedAccumulator, ReplicationBudget, ReplicationPlan};
@@ -83,7 +80,7 @@ pub const DEFAULT_BATCH_LANES: usize = 128;
 
 /// One failure-interruptible step of a compiled protocol program.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Step {
+pub(crate) enum Step {
     /// One checkpointed-stream attempt unit: `work` seconds of rollback-
     /// protected work followed by a checkpoint of cost `ckpt`; a failure
     /// anywhere in the attempt discards it (after a rollback recovery).
@@ -104,7 +101,8 @@ enum Step {
 /// advances all lanes of a [`BatchState`] through the steps in lockstep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchProgram {
-    steps: Vec<Step>,
+    protocol: Protocol,
+    pub(crate) steps: Vec<Step>,
     base_time: f64,
     downtime: f64,
     recovery: f64,
@@ -156,47 +154,44 @@ impl BatchState {
 
     /// Loads one lane's clock into registers for a slow-path excursion.
     #[inline]
-    fn load(&self, lane: usize) -> LaneClock {
+    fn load<'s, S>(&self, source: &'s mut S, lane: usize) -> LaneClock<'s, S> {
         LaneClock {
             now: self.now[lane],
             next_failure: self.next_failure[lane],
             failures: self.failures[lane],
+            source,
+            lane,
         }
     }
 
     /// Writes a slow-path excursion's result back to the lane's slots.
     #[inline]
-    fn store(&mut self, lane: usize, clock: LaneClock) {
-        self.now[lane] = clock.now;
-        self.next_failure[lane] = clock.next_failure;
-        self.failures[lane] = clock.failures;
+    fn store<S>(&mut self, clock: &LaneClock<'_, S>) {
+        self.now[clock.lane] = clock.now;
+        self.next_failure[clock.lane] = clock.next_failure;
+        self.failures[clock.lane] = clock.failures;
     }
 }
 
-/// One lane's clock held in registers while its slow path runs — the
-/// register-resident counterpart of [`crate::clock::SimClock`]'s fields, so
-/// the retry loops run on locals exactly like the scalar engine instead of
-/// bounds-checked array accesses.
-#[derive(Debug, Clone, Copy)]
-struct LaneClock {
+/// One lane's clock held in registers while its slow path runs, together
+/// with the batch source it redraws from — the register-resident
+/// counterpart of [`crate::clock::SimClock`], so the step interpreter runs
+/// on locals exactly like the scalar engine instead of bounds-checked array
+/// accesses.
+struct LaneClock<'s, S> {
     now: f64,
     next_failure: f64,
     failures: usize,
+    source: &'s mut S,
+    lane: usize,
 }
 
-impl LaneClock {
-    /// The scalar-verbatim clock primitive: mirrors
-    /// [`crate::clock::SimClock::try_run`] bit for bit (early return on
-    /// non-positive durations, strict completion test, eager redraw of the
-    /// lane's next failure on interrupt).
+impl<S: BatchFailureSource> TryRun for LaneClock<'_, S> {
+    /// Mirrors [`crate::clock::SimClock::try_run`] bit for bit (early return
+    /// on non-positive durations, strict completion test, eager redraw of
+    /// the lane's next failure on interrupt).
     #[inline]
-    fn try_run<S: BatchFailureSource>(
-        &mut self,
-        source: &mut S,
-        lane: usize,
-        duration: f64,
-    ) -> crate::clock::ActivityResult {
-        use crate::clock::ActivityResult;
+    fn try_run(&mut self, duration: f64) -> ActivityResult {
         if duration <= 0.0 {
             return ActivityResult::Completed;
         }
@@ -207,7 +202,7 @@ impl LaneClock {
             let progress = (self.next_failure - self.now).max(0.0);
             self.now = self.next_failure;
             self.failures += 1;
-            self.next_failure = source.next_failure(lane);
+            self.next_failure = self.source.next_failure(self.lane);
             ActivityResult::Interrupted { progress }
         }
     }
@@ -313,6 +308,7 @@ impl BatchProgram {
             }
         }
         Self {
+            protocol,
             steps,
             base_time: profile.total_duration(),
             downtime: plan.downtime,
@@ -320,6 +316,12 @@ impl BatchProgram {
             recovery_remainder: plan.recovery_remainder,
             abft_reconstruction: plan.abft_reconstruction,
         }
+    }
+
+    /// The protocol the program was compiled from.
+    #[inline]
+    pub(crate) fn protocol(&self) -> Protocol {
+        self.protocol
     }
 
     /// The failure-free application duration lanes are normalised against.
@@ -348,13 +350,13 @@ impl BatchProgram {
     /// two adds, a compare, and a select per lane over contiguous arrays —
     /// committing every lane the step completes failure-free and compacting
     /// the rest into a dense worklist of lane indices.  Only the worklist
-    /// lanes take the scalar-verbatim slow path, with each lane's clock held
-    /// in registers for the retry loop — no re-scan of the committed lanes.
+    /// lanes take the step interpreter, with each lane's clock held in
+    /// registers for the retry loop — no re-scan of the committed lanes.
     pub fn run<S: BatchFailureSource>(&self, source: &mut S, state: &mut BatchState) {
         state.reset(source);
         let lanes = state.lanes();
-        for step in &self.steps {
-            match *step {
+        for &step in &self.steps {
+            match step {
                 Step::Period { work, ckpt } => fast_pass_two(
                     &mut state.now[..lanes],
                     &state.next_failure[..lanes],
@@ -375,21 +377,14 @@ impl BatchProgram {
                     work,
                 ),
             }
-            // Interrupted lanes replay through the scalar-verbatim retry
-            // loops; indexing the worklist (instead of holding a borrow on
-            // it) keeps `state` free for the per-lane load/store.
+            // Interrupted lanes replay the whole step through the
+            // interpreter; indexing the worklist (instead of holding a
+            // borrow on it) keeps `state` free for the per-lane load/store.
             for k in 0..state.interrupted.len() {
                 let lane = state.interrupted[k] as usize;
-                let mut clock = state.load(lane);
-                match *step {
-                    Step::Period { work, ckpt } => {
-                        self.slow_period(&mut clock, source, lane, work, ckpt)
-                    }
-                    Step::Forced { cost } => self.slow_forced(&mut clock, source, lane, cost),
-                    Step::AbftWork { work } => self.slow_abft_work(&mut clock, source, lane, work),
-                    Step::AbftCkpt { cost } => self.slow_abft_ckpt(&mut clock, source, lane, cost),
-                }
-                state.store(lane, clock);
+                let mut clock = state.load(source, lane);
+                self.run_step(step, &mut clock, 0.0, &mut || false);
+                state.store(&clock);
             }
         }
     }
@@ -404,131 +399,99 @@ impl BatchProgram {
         }
     }
 
-    /// Scalar-verbatim rollback recovery on one lane
-    /// ([`crate::clock::SimClock::recover`]).
-    fn lane_recover<S: BatchFailureSource>(
+    /// The step interpreter: runs `step` on one clock to completion, with
+    /// the retry loops of [`crate::engine`]'s executors.  `done` is the ABFT
+    /// progress an [`Step::AbftWork`] step starts from (`0.0` everywhere
+    /// else).
+    ///
+    /// `after_abft_recovery` is called after every ABFT recovery — the
+    /// points where no work is lost, so a run can stop there and resume
+    /// later.  When it returns `true` the interpreter stops and returns the
+    /// step's ABFT progress at that point; it returns `None` once the step
+    /// completes.  The batch slow path passes a hook that never stops.
+    pub(crate) fn run_step<C: TryRun, H: FnMut() -> bool>(
         &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-    ) {
-        loop {
-            if clock.try_run(source, lane, self.downtime).is_completed()
-                && clock.try_run(source, lane, self.recovery).is_completed()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Scalar-verbatim ABFT recovery on one lane
-    /// ([`crate::engine::abft_recover`]).
-    fn lane_abft_recover<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-    ) {
-        loop {
-            if clock.try_run(source, lane, self.downtime).is_completed()
-                && clock
-                    .try_run(source, lane, self.recovery_remainder)
-                    .is_completed()
-                && clock
-                    .try_run(source, lane, self.abft_reconstruction)
-                    .is_completed()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Slow path of [`Step::Period`]: verbatim the attempt loop of
-    /// [`crate::engine::checkpointed_stream`] (work retried from scratch
-    /// after rollback recoveries, attempt discarded when the checkpoint is
-    /// interrupted).
-    fn slow_period<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-        work: f64,
-        ckpt: f64,
-    ) {
-        use crate::clock::ActivityResult;
-        'attempt: loop {
-            let mut done = 0.0;
-            while done < work {
-                match clock.try_run(source, lane, work - done) {
-                    ActivityResult::Completed => done = work,
-                    ActivityResult::Interrupted { .. } => {
-                        self.lane_recover(clock, source, lane);
-                        done = 0.0;
+        step: Step,
+        clock: &mut C,
+        mut done: f64,
+        after_abft_recovery: &mut H,
+    ) -> Option<f64> {
+        match step {
+            Step::Period { work, ckpt } => loop {
+                // One attempt: the work from scratch after every rollback,
+                // then the checkpoint; an interrupted checkpoint discards it.
+                let mut done = 0.0;
+                while done < work {
+                    match clock.try_run(work - done) {
+                        ActivityResult::Completed => done = work,
+                        ActivityResult::Interrupted { .. } => {
+                            self.recover(clock);
+                            done = 0.0;
+                        }
                     }
                 }
-            }
-            match clock.try_run(source, lane, ckpt) {
-                ActivityResult::Completed => break 'attempt,
-                ActivityResult::Interrupted { .. } => {
-                    self.lane_recover(clock, source, lane);
+                if clock.try_run(ckpt).is_completed() {
+                    return None;
                 }
+                self.recover(clock);
+            },
+            Step::Forced { cost } => {
+                while !clock.try_run(cost).is_completed() {
+                    self.recover(clock);
+                }
+                None
+            }
+            Step::AbftWork { work } => {
+                while done < work {
+                    match clock.try_run(work - done) {
+                        ActivityResult::Completed => done = work,
+                        ActivityResult::Interrupted { progress } => {
+                            done += progress;
+                            self.abft_recover(clock);
+                            if after_abft_recovery() {
+                                return Some(done);
+                            }
+                        }
+                    }
+                }
+                None
+            }
+            Step::AbftCkpt { cost } => {
+                while !clock.try_run(cost).is_completed() {
+                    self.abft_recover(clock);
+                    if after_abft_recovery() {
+                        return Some(0.0);
+                    }
+                }
+                None
             }
         }
     }
 
-    /// Slow path of [`Step::Forced`]: verbatim
-    /// [`crate::engine::forced_checkpoint`].
-    fn slow_forced<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-        cost: f64,
-    ) {
-        use crate::clock::ActivityResult;
+    /// Rollback recovery ([`crate::clock::SimClock::recover`]): downtime and
+    /// full reload, restarted until both complete.
+    #[inline]
+    fn recover<C: TryRun>(&self, clock: &mut C) {
         loop {
-            match clock.try_run(source, lane, cost) {
-                ActivityResult::Completed => return,
-                ActivityResult::Interrupted { .. } => {
-                    self.lane_recover(clock, source, lane);
-                }
+            if clock.try_run(self.downtime).is_completed()
+                && clock.try_run(self.recovery).is_completed()
+            {
+                return;
             }
         }
     }
 
-    /// Slow path of [`Step::AbftWork`]: verbatim the work loop of
-    /// [`crate::engine::abft_protected_stream`] — progress survives failures.
-    fn slow_abft_work<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-        work: f64,
-    ) {
-        use crate::clock::ActivityResult;
-        let mut done = 0.0;
-        while done < work {
-            match clock.try_run(source, lane, work - done) {
-                ActivityResult::Completed => done = work,
-                ActivityResult::Interrupted { progress } => {
-                    done += progress;
-                    self.lane_abft_recover(clock, source, lane);
-                }
+    /// ABFT recovery ([`crate::engine::abft_recover`]): downtime, REMAINDER
+    /// reload and checksum reconstruction, restarted until all complete.
+    #[inline]
+    fn abft_recover<C: TryRun>(&self, clock: &mut C) {
+        loop {
+            if clock.try_run(self.downtime).is_completed()
+                && clock.try_run(self.recovery_remainder).is_completed()
+                && clock.try_run(self.abft_reconstruction).is_completed()
+            {
+                return;
             }
-        }
-    }
-
-    /// Slow path of [`Step::AbftCkpt`]: verbatim the exit-checkpoint loop of
-    /// [`crate::engine::abft_protected_stream`].
-    fn slow_abft_ckpt<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-        cost: f64,
-    ) {
-        while !clock.try_run(source, lane, cost).is_completed() {
-            self.lane_abft_recover(clock, source, lane);
         }
     }
 }
@@ -686,8 +649,8 @@ impl BatchProgramCache {
     }
 }
 
-/// Resolves the `threads` knob of the intra-point drivers: `0` means "use
-/// the host's available parallelism", anything else is taken literally.
+/// Resolves the `threads` knob of [`accumulate_batch`]: `0` means "use the
+/// host's available parallelism", anything else is taken literally.
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -696,19 +659,21 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// The next speculative *wave* of replication blocks: block boundaries are a
-/// pure function of the budget and the replications already merged (see
-/// [`ReplicationBudget::next_block`]), so the parallel driver can lay out
-/// the blocks a wave executes before knowing whether stopping fires inside
-/// it.  The wave is capped at `threads` lane-width segments so at most one
-/// wave of work is ever speculated past a stopping decision.
+/// Lays out the next speculative *wave* of replication blocks in `blocks`:
+/// block boundaries are a pure function of the budget and the replications
+/// already merged (see [`ReplicationBudget::next_block`]), so the driver can
+/// lay out the blocks a wave executes before knowing whether stopping fires
+/// inside it.  The wave is capped at `threads` lane-width segments so at
+/// most one wave of work is ever speculated past a stopping decision; with
+/// one thread a wave is exactly one block.
 fn next_wave(
     budget: &ReplicationBudget,
     done: usize,
     lanes: usize,
     threads: usize,
-) -> Vec<(usize, usize)> {
-    let mut blocks = Vec::new();
+    blocks: &mut Vec<(usize, usize)>,
+) {
+    blocks.clear();
     let mut wave_done = done;
     let mut segments = 0usize;
     while segments < threads {
@@ -720,14 +685,12 @@ fn next_wave(
         segments += block.div_ceil(lanes);
         wave_done += block;
     }
-    blocks
 }
 
-/// Splits a wave's blocks into the `(start, width)` segments the serial
-/// driver's chunk loop would execute — lane-width chunks with a ragged tail
-/// per block, in replication order.
-fn wave_segments(blocks: &[(usize, usize)], lanes: usize) -> Vec<(usize, usize)> {
-    let mut segments = Vec::new();
+/// Splits a wave's blocks into `(start, width)` segments — lane-width chunks
+/// with a ragged tail per block, in replication order.
+fn wave_segments(blocks: &[(usize, usize)], lanes: usize, segments: &mut Vec<(usize, usize)>) {
+    segments.clear();
     for &(block_start, block_len) in blocks {
         let mut start = block_start;
         let mut remaining = block_len;
@@ -738,380 +701,194 @@ fn wave_segments(blocks: &[(usize, usize)], lanes: usize) -> Vec<(usize, usize)>
             remaining -= width;
         }
     }
-    segments
 }
 
-/// Runs `f` over every segment on `threads` scoped OS threads, returning the
-/// results in segment order.  Segments are dealt to workers in contiguous
-/// runs; because every segment's result is a pure function of its `(start,
-/// width)` (the seeds come from [`SeedStream::nth_seed`]), the thread layout
-/// is unobservable in the output.
-fn run_segments<T, F>(segments: &[(usize, usize)], threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let per_worker = segments.len().div_ceil(threads).max(1);
-    let mut results = Vec::with_capacity(segments.len());
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = segments
-            .chunks(per_worker)
-            .map(|run| {
-                scope.spawn(move || {
-                    run.iter()
-                        .map(|&(start, width)| f(start, width))
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            results.extend(handle.join().expect("segment worker panicked"));
+/// One worker's scratch, reused across every segment it runs: the lane seed
+/// column, the failure stream, the SoA state and one outcome buffer per
+/// segment of its share of a wave.
+struct Worker {
+    seeds: Vec<u64>,
+    stream: BatchFailureStream<AnyFailureModel>,
+    state: BatchState,
+    /// Per segment: `width` outcomes of each program in order, followed
+    /// (antithetic plans) by the partner outcomes in the same layout.
+    outs: Vec<Vec<SimOutcome>>,
+}
+
+impl Worker {
+    fn new(model: AnyFailureModel) -> Self {
+        Self {
+            seeds: Vec::new(),
+            stream: BatchFailureStream::new(model, &[]),
+            state: BatchState::new(),
+            outs: Vec::new(),
         }
-    });
-    results
-}
-
-/// The per-segment seed column: replication `start + j` draws seed
-/// `nth_seed(master, start + j)` — exactly the value the serial driver's
-/// shared [`SeedStream`] hands that replication.
-fn segment_seeds(master_seed: u64, start: usize, width: usize) -> Vec<u64> {
-    (0..width)
-        .map(|j| SeedStream::nth_seed(master_seed, (start + j) as u64))
-        .collect()
-}
-
-/// Batch counterpart of [`crate::replicate::accumulate_profile_engine`]:
-/// replications are advanced `lanes` at a time through the compiled program,
-/// but consume the **same seed stream in the same order**, feed the
-/// [`OutcomeAccumulator`] with the same push sequence and apply the same
-/// block-wise adaptive stopping checks — the returned accumulator is
-/// bit-identical to the scalar path's (the sweep fast path relies on this to
-/// switch freely between the engines).
-///
-/// `lanes` is the batch width; replication blocks that are not a multiple of
-/// it run a ragged tail batch of the remaining width.
-pub fn accumulate_profile_engine_batch(
-    engine: &Engine,
-    protocol: Protocol,
-    profile: &ApplicationProfile,
-    plan: impl Into<ReplicationPlan>,
-    master_seed: u64,
-    lanes: usize,
-) -> OutcomeAccumulator {
-    let program = BatchProgram::compile(protocol, profile, engine.plan());
-    accumulate_profile_program_batch(engine, &program, plan, master_seed, lanes, 1)
-}
-
-/// [`accumulate_profile_engine_batch`] over a pre-compiled program, with an
-/// intra-point `threads` knob.
-///
-/// `threads == 0` resolves to the host's available parallelism; `threads <=
-/// 1` runs the serial driver.  The parallel driver splits replication blocks
-/// into lane-width segments executed across scoped OS threads: every
-/// segment derives its seeds by [`SeedStream::nth_seed`] offset (the exact
-/// values the serial seed stream yields at those positions), results merge
-/// into the accumulator in replication order, and adaptive stopping is
-/// evaluated on the same block boundaries — so the result is bit-identical
-/// at every thread count, speculating at most one wave of blocks past the
-/// stopping decision.
-pub fn accumulate_profile_program_batch(
-    engine: &Engine,
-    program: &BatchProgram,
-    plan: impl Into<ReplicationPlan>,
-    master_seed: u64,
-    lanes: usize,
-    threads: usize,
-) -> OutcomeAccumulator {
-    let plan: ReplicationPlan = plan.into();
-    let lanes = lanes.max(1);
-    let threads = resolve_threads(threads);
-    let mut acc = OutcomeAccumulator::new();
-    if threads > 1 {
-        let mut done = 0usize;
-        'drive: loop {
-            let blocks = next_wave(&plan.budget, done, lanes, threads);
-            if blocks.is_empty() {
-                break;
-            }
-            let segments = wave_segments(&blocks, lanes);
-            let results = run_segments(&segments, threads, |start, width| {
-                let seeds = segment_seeds(master_seed, start, width);
-                let mut stream = BatchFailureStream::new(*engine.failure_model(), &seeds);
-                let mut state = BatchState::new();
-                program.run(&mut stream, &mut state);
-                let firsts: Vec<SimOutcome> =
-                    (0..width).map(|lane| program.outcome(&state, lane)).collect();
-                let partners: Vec<SimOutcome> = if plan.antithetic {
-                    stream.reset_antithetic(&seeds);
-                    program.run(&mut stream, &mut state);
-                    (0..width).map(|lane| program.outcome(&state, lane)).collect()
-                } else {
-                    Vec::new()
-                };
-                (firsts, partners)
-            });
-            // Merge in replication order, block by block, replicating the
-            // serial push sequence and stopping boundaries exactly; a wave
-            // that over-speculated simply drops its unmerged tail.
-            let mut segment = 0usize;
-            for &(_, block_len) in &blocks {
-                let mut merged = 0usize;
-                while merged < block_len {
-                    let (firsts, partners) = &results[segment];
-                    if plan.antithetic {
-                        for (first, partner) in firsts.iter().zip(partners) {
-                            acc.push_pair(first, partner);
-                        }
-                    } else {
-                        for outcome in firsts {
-                            acc.push(outcome);
-                        }
-                    }
-                    merged += firsts.len();
-                    segment += 1;
-                }
-                done += block_len;
-                if plan.budget.satisfied(&acc.waste) {
-                    break 'drive;
-                }
-            }
-        }
-        return acc;
     }
-    let mut seeds = SeedStream::new(master_seed);
-    let mut seed_buf = vec![0u64; lanes];
-    let mut stream = BatchFailureStream::new(*engine.failure_model(), &[]);
-    let mut state = BatchState::new();
-    let mut outcomes: Vec<SimOutcome> = Vec::with_capacity(lanes);
-    let mut done = 0usize;
-    loop {
-        let block = plan.budget.next_block(done);
-        if block == 0 {
-            break;
+
+    /// Runs every program over each segment into `outs[k]`.  Replication
+    /// `start + j` draws seed `nth_seed(master_seed, start + j)` — the value
+    /// a sequential [`SeedStream`] hands it — so a segment's outcomes are a
+    /// pure function of its `(start, width)` and the thread layout is
+    /// unobservable.  Every program's stream restarts from the same seeds:
+    /// common random numbers, the batch form of replaying one recorded
+    /// trace per seed to all protocols.
+    fn run(
+        &mut self,
+        programs: &[&BatchProgram],
+        master_seed: u64,
+        antithetic: bool,
+        segments: &[(usize, usize)],
+    ) {
+        let Self {
+            seeds,
+            stream,
+            state,
+            outs,
+        } = self;
+        if outs.len() < segments.len() {
+            outs.resize_with(segments.len(), Vec::new);
         }
-        let mut remaining = block;
-        while remaining > 0 {
-            let width = remaining.min(lanes);
-            let chunk = &mut seed_buf[..width];
-            seeds.fill(chunk);
-            stream.reset(chunk);
-            program.run(&mut stream, &mut state);
-            outcomes.clear();
-            outcomes.extend((0..width).map(|lane| program.outcome(&state, lane)));
-            if plan.antithetic {
-                stream.reset_antithetic(chunk);
-                program.run(&mut stream, &mut state);
-                for (lane, first) in outcomes.iter().enumerate() {
-                    acc.push_pair(first, &program.outcome(&state, lane));
+        for (out, &(start, width)) in outs.iter_mut().zip(segments) {
+            seeds.clear();
+            seeds.extend(
+                (start..start + width).map(|r| SeedStream::nth_seed(master_seed, r as u64)),
+            );
+            out.clear();
+            for program in programs {
+                stream.reset(seeds);
+                program.run(stream, state);
+                out.extend((0..width).map(|lane| program.outcome(state, lane)));
+            }
+            if antithetic {
+                for program in programs {
+                    stream.reset_antithetic(seeds);
+                    program.run(stream, state);
+                    out.extend((0..width).map(|lane| program.outcome(state, lane)));
                 }
+            }
+        }
+    }
+}
+
+/// Pushes one segment's outcomes into `acc` in the scalar paired loop's
+/// order — per lane, per program — and returns the segment's width.
+fn merge_segment(acc: &mut PairedAccumulator, out: &[SimOutcome], antithetic: bool) -> usize {
+    let programs = acc.outcomes.len();
+    let width = out.len() / if antithetic { 2 * programs } else { programs };
+    for lane in 0..width {
+        let mut baseline_waste = 0.0;
+        for i in 0..programs {
+            let first = &out[i * width + lane];
+            let waste = if antithetic {
+                let partner = &out[(programs + i) * width + lane];
+                acc.outcomes[i].push_pair(first, partner);
+                (first.waste() + partner.waste()) / 2.0
             } else {
-                for outcome in &outcomes {
-                    acc.push(outcome);
-                }
+                acc.outcomes[i].push(first);
+                first.waste()
+            };
+            if i == 0 {
+                baseline_waste = waste;
+            } else {
+                acc.deltas[i].push(waste - baseline_waste);
             }
-            remaining -= width;
-        }
-        done += block;
-        if plan.budget.satisfied(&acc.waste) {
-            break;
         }
     }
-    acc
+    width
 }
 
-/// Batch counterpart of [`crate::replicate::accumulate_paired_engine`]: all
-/// protocols replay the same per-lane failure sequences (common random
-/// numbers), per-trace waste deltas stream against the baseline, and the
-/// paired-delta / marginal stopping rules fire on the same block boundaries
-/// as the scalar path — the returned [`PairedAccumulator`] is bit-identical.
-pub fn accumulate_paired_engine_batch(
-    engine: &Engine,
-    protocols: &[Protocol],
-    profile: &ApplicationProfile,
-    plan: impl Into<ReplicationPlan>,
-    master_seed: u64,
-    lanes: usize,
-) -> PairedAccumulator {
-    let programs: Vec<BatchProgram> = protocols
-        .iter()
-        .map(|&p| BatchProgram::compile(p, profile, engine.plan()))
-        .collect();
-    let program_refs: Vec<&BatchProgram> = programs.iter().collect();
-    accumulate_paired_programs_batch(engine, protocols, &program_refs, plan, master_seed, lanes, 1)
+/// The scalar paired loop's stopping rule: every per-trace delta resolved
+/// under a paired-delta budget, or every marginal satisfied.  With a single
+/// program there is no delta and only the marginal rule applies.
+fn stopped(acc: &PairedAccumulator, budget: &ReplicationBudget) -> bool {
+    let deltas_resolved = budget.is_paired_delta()
+        && acc.deltas.len() > 1
+        && acc.deltas[1..].iter().all(|d| budget.delta_resolved(d));
+    deltas_resolved || acc.outcomes.iter().all(|o| budget.satisfied(&o.waste))
 }
 
-/// One protocol-set evaluation of a paired segment: per-protocol first-pass
-/// outcomes plus (under antithetic pairing) per-protocol partner outcomes.
-type PairedSegment = (Vec<Vec<SimOutcome>>, Vec<Vec<SimOutcome>>);
-
-/// [`accumulate_paired_engine_batch`] over pre-compiled programs (one per
-/// protocol, same order), with the same intra-point `threads` knob — and the
-/// same bit-identity across thread counts — as
-/// [`accumulate_profile_program_batch`].
-pub fn accumulate_paired_programs_batch(
+/// The batch replication driver: replications advance `lanes` at a time
+/// through pre-compiled `programs` (one per protocol; `programs[0]` is the
+/// baseline of the paired deltas), consuming the **same seed stream in the
+/// same order**, feeding the accumulators with the same push sequence and
+/// applying the same block-wise stopping checks as the scalar
+/// [`crate::replicate::accumulate_paired_engine`].  With one program the
+/// push order and stopping rule are those of
+/// [`crate::replicate::accumulate_profile_engine`], whose accumulator is
+/// `outcomes[0]`.  The result is bit-identical to the scalar path either
+/// way, so the sweep fast path switches freely between the engines.
+///
+/// Replication blocks that are not a multiple of `lanes` run a ragged tail
+/// segment of the remaining width.  `threads == 0` resolves to the host's
+/// available parallelism.  With one thread every segment runs on the
+/// calling thread, on scratch reused across segments; with more, each wave
+/// of segments is dealt to scoped OS threads in contiguous runs and merged
+/// in replication order, stopping on the same block boundaries — so the
+/// result is bit-identical at every thread count, speculating at most one
+/// wave of blocks past the stopping decision.
+pub fn accumulate_batch(
     engine: &Engine,
-    protocols: &[Protocol],
     programs: &[&BatchProgram],
     plan: impl Into<ReplicationPlan>,
     master_seed: u64,
     lanes: usize,
     threads: usize,
 ) -> PairedAccumulator {
-    assert_eq!(
-        protocols.len(),
-        programs.len(),
-        "one compiled program per protocol, in protocol order"
-    );
     let plan: ReplicationPlan = plan.into();
-    let budget = plan.budget;
     let lanes = lanes.max(1);
     let threads = resolve_threads(threads);
     let mut acc = PairedAccumulator {
-        protocols: protocols.to_vec(),
-        outcomes: vec![OutcomeAccumulator::new(); protocols.len()],
-        deltas: vec![Welford::new(); protocols.len()],
+        protocols: programs.iter().map(|p| p.protocol()).collect(),
+        outcomes: vec![OutcomeAccumulator::new(); programs.len()],
+        deltas: vec![Welford::new(); programs.len()],
     };
-    if protocols.is_empty() {
+    if programs.is_empty() {
         return acc;
     }
-    // Serial and parallel drivers share the per-segment merge: the per-lane,
-    // per-protocol push sequence of the scalar paired loop.
-    let merge_segment =
-        |acc: &mut PairedAccumulator, firsts: &[Vec<SimOutcome>], partners: &[Vec<SimOutcome>]| {
-            let width = firsts[0].len();
-            if plan.antithetic {
-                for lane in 0..width {
-                    let mut baseline_waste = 0.0;
-                    for i in 0..firsts.len() {
-                        let pair_waste =
-                            (firsts[i][lane].waste() + partners[i][lane].waste()) / 2.0;
-                        acc.outcomes[i].push_pair(&firsts[i][lane], &partners[i][lane]);
-                        if i == 0 {
-                            baseline_waste = pair_waste;
-                        } else {
-                            acc.deltas[i].push(pair_waste - baseline_waste);
-                        }
-                    }
-                }
-            } else {
-                for lane in 0..width {
-                    let mut baseline_waste = 0.0;
-                    for (i, outcomes) in firsts.iter().enumerate() {
-                        let out = outcomes[lane];
-                        let waste = out.waste();
-                        acc.outcomes[i].push(&out);
-                        if i == 0 {
-                            baseline_waste = waste;
-                        } else {
-                            acc.deltas[i].push(waste - baseline_waste);
-                        }
-                    }
-                }
-            }
-        };
-    let stopped = |acc: &PairedAccumulator| {
-        let deltas_resolved = budget.is_paired_delta()
-            && acc.deltas.len() > 1
-            && acc.deltas[1..].iter().all(|d| budget.delta_resolved(d));
-        deltas_resolved || acc.outcomes.iter().all(|o| budget.satisfied(&o.waste))
-    };
-    if threads > 1 {
-        let mut done = 0usize;
-        'drive: loop {
-            let blocks = next_wave(&budget, done, lanes, threads);
-            if blocks.is_empty() {
-                break;
-            }
-            let segments = wave_segments(&blocks, lanes);
-            let results = run_segments(&segments, threads, |start, width| -> PairedSegment {
-                let seeds = segment_seeds(master_seed, start, width);
-                let mut stream = BatchFailureStream::new(*engine.failure_model(), &seeds);
-                let mut state = BatchState::new();
-                let mut firsts = Vec::with_capacity(programs.len());
-                let mut partners = Vec::with_capacity(programs.len());
-                // Every protocol's stream restarts from the same segment
-                // seeds — common random numbers, exactly like the serial
-                // chunk loop.
-                for program in programs {
-                    stream.reset(&seeds);
-                    program.run(&mut stream, &mut state);
-                    firsts.push(
-                        (0..width)
-                            .map(|lane| program.outcome(&state, lane))
-                            .collect::<Vec<SimOutcome>>(),
-                    );
-                }
-                if plan.antithetic {
-                    for program in programs {
-                        stream.reset_antithetic(&seeds);
-                        program.run(&mut stream, &mut state);
-                        partners.push(
-                            (0..width)
-                                .map(|lane| program.outcome(&state, lane))
-                                .collect::<Vec<SimOutcome>>(),
-                        );
-                    }
-                }
-                (firsts, partners)
-            });
-            let mut segment = 0usize;
-            for &(_, block_len) in &blocks {
-                let mut merged = 0usize;
-                while merged < block_len {
-                    let (firsts, partners) = &results[segment];
-                    merge_segment(&mut acc, firsts, partners);
-                    merged += firsts[0].len();
-                    segment += 1;
-                }
-                done += block_len;
-                if stopped(&acc) {
-                    break 'drive;
-                }
-            }
-        }
-        return acc;
-    }
-    let mut seeds = SeedStream::new(master_seed);
-    let mut seed_buf = vec![0u64; lanes];
-    let mut stream = BatchFailureStream::new(*engine.failure_model(), &[]);
-    let mut state = BatchState::new();
-    let mut firsts: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); protocols.len()];
-    let mut partners: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); protocols.len()];
+    let mut workers: Vec<Worker> = (0..threads)
+        .map(|_| Worker::new(*engine.failure_model()))
+        .collect();
+    let (mut blocks, mut segments) = (Vec::new(), Vec::new());
     let mut done = 0usize;
-    loop {
-        let block = budget.next_block(done);
-        if block == 0 {
+    'drive: loop {
+        next_wave(&plan.budget, done, lanes, threads, &mut blocks);
+        if blocks.is_empty() {
             break;
         }
-        let mut remaining = block;
-        while remaining > 0 {
-            let width = remaining.min(lanes);
-            let chunk = &mut seed_buf[..width];
-            seeds.fill(chunk);
-            // Every protocol's stream restarts from the same chunk seeds —
-            // the batch form of replaying one recorded trace per seed to all
-            // protocols.
-            for (i, program) in programs.iter().enumerate() {
-                stream.reset(chunk);
-                program.run(&mut stream, &mut state);
-                firsts[i].clear();
-                firsts[i].extend((0..width).map(|lane| program.outcome(&state, lane)));
-            }
-            if plan.antithetic {
-                for (i, program) in programs.iter().enumerate() {
-                    stream.reset_antithetic(chunk);
-                    program.run(&mut stream, &mut state);
-                    partners[i].clear();
-                    partners[i].extend((0..width).map(|lane| program.outcome(&state, lane)));
+        wave_segments(&blocks, lanes, &mut segments);
+        let per_worker = segments.len().div_ceil(threads);
+        if threads > 1 {
+            std::thread::scope(|scope| {
+                for (worker, share) in workers.iter_mut().zip(segments.chunks(per_worker)) {
+                    scope.spawn(move || worker.run(programs, master_seed, plan.antithetic, share));
                 }
-            }
-            merge_segment(&mut acc, &firsts, &partners);
-            remaining -= width;
+            });
         }
-        done += block;
-        if stopped(&acc) {
-            break;
+        // Merge in replication order, block by block; a wave that
+        // over-speculated simply drops its unmerged tail.
+        let mut segment = 0usize;
+        for &(_, block_len) in &blocks {
+            let mut merged = 0usize;
+            while merged < block_len {
+                let out = if threads > 1 {
+                    &workers[segment / per_worker].outs[segment % per_worker]
+                } else {
+                    let worker = &mut workers[0];
+                    worker.run(
+                        programs,
+                        master_seed,
+                        plan.antithetic,
+                        &segments[segment..=segment],
+                    );
+                    &worker.outs[0]
+                };
+                merged += merge_segment(&mut acc, out, plan.antithetic);
+                segment += 1;
+            }
+            done += block_len;
+            if stopped(&acc, &plan.budget) {
+                break 'drive;
+            }
         }
     }
     acc
@@ -1215,6 +992,7 @@ mod tests {
     fn batch_accumulator_is_bit_identical_to_the_scalar_path() {
         let engine = fig7_engine(FailureSpec::Exponential);
         let profile = ApplicationProfile::from_params(engine.params());
+        let program = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &profile, engine.plan());
         for budget in [
             ReplicationBudget::Fixed(130), // ragged: 130 = 2×50 + 30 over 50-lanes
             ReplicationBudget::Adaptive {
@@ -1233,14 +1011,9 @@ mod tests {
                     77,
                 );
                 for lanes in [1, 7, 50, 256] {
-                    let batch = accumulate_profile_engine_batch(
-                        &engine,
-                        Protocol::AbftPeriodicCkpt,
-                        &profile,
-                        plan,
-                        77,
-                        lanes,
-                    );
+                    let batch = accumulate_batch(&engine, &[&program], plan, 77, lanes, 1)
+                        .outcomes
+                        .swap_remove(0);
                     assert_eq!(scalar, batch, "{budget:?} antithetic={antithetic} lanes={lanes}");
                 }
             }
@@ -1252,6 +1025,8 @@ mod tests {
         let engine = fig7_engine(FailureSpec::Weibull { shape: 0.7 });
         let profile = ApplicationProfile::from_params(engine.params());
         let protocols = [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt];
+        let programs = protocols.map(|p| BatchProgram::compile(p, &profile, engine.plan()));
+        let refs: Vec<&BatchProgram> = programs.iter().collect();
         for budget in [
             ReplicationBudget::Fixed(90),
             ReplicationBudget::AdaptiveDelta {
@@ -1264,8 +1039,7 @@ mod tests {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
                 let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 5);
                 for lanes in [1, 32, 128] {
-                    let batch =
-                        accumulate_paired_engine_batch(&engine, &protocols, &profile, plan, 5, lanes);
+                    let batch = accumulate_batch(&engine, &refs, plan, 5, lanes, 1);
                     assert_eq!(scalar, batch, "{budget:?} antithetic={antithetic} lanes={lanes}");
                 }
             }
@@ -1275,15 +1049,7 @@ mod tests {
     #[test]
     fn paired_batch_of_no_protocols_is_an_empty_no_op() {
         let engine = fig7_engine(FailureSpec::Exponential);
-        let profile = ApplicationProfile::from_params(engine.params());
-        let paired = accumulate_paired_engine_batch(
-            &engine,
-            &[],
-            &profile,
-            ReplicationBudget::Fixed(10),
-            1,
-            64,
-        );
+        let paired = accumulate_batch(&engine, &[], ReplicationBudget::Fixed(10), 1, 64, 1);
         assert_eq!(paired.replications(), 0);
         assert!(paired.outcomes.is_empty());
     }
@@ -1352,12 +1118,9 @@ mod tests {
         ] {
             for antithetic in [false, true] {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
-                let serial =
-                    accumulate_profile_program_batch(&engine, &program, plan, 77, 50, 1);
+                let serial = accumulate_batch(&engine, &[&program], plan, 77, 50, 1);
                 for threads in [2, 3, 5, 8] {
-                    let parallel = accumulate_profile_program_batch(
-                        &engine, &program, plan, 77, 50, threads,
-                    );
+                    let parallel = accumulate_batch(&engine, &[&program], plan, 77, 50, threads);
                     assert_eq!(
                         serial, parallel,
                         "{budget:?} antithetic={antithetic} threads={threads}"
@@ -1387,13 +1150,9 @@ mod tests {
         ] {
             for antithetic in [false, true] {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
-                let serial = accumulate_paired_programs_batch(
-                    &engine, &protocols, &refs, plan, 5, 32, 1,
-                );
+                let serial = accumulate_batch(&engine, &refs, plan, 5, 32, 1);
                 for threads in [2, 4, 7] {
-                    let parallel = accumulate_paired_programs_batch(
-                        &engine, &protocols, &refs, plan, 5, 32, threads,
-                    );
+                    let parallel = accumulate_batch(&engine, &refs, plan, 5, 32, threads);
                     assert_eq!(
                         serial, parallel,
                         "{budget:?} antithetic={antithetic} threads={threads}"
@@ -1419,5 +1178,77 @@ mod tests {
         let scalar = engine.simulate_profile(Protocol::AbftPeriodicCkpt, &lib_only, 3);
         let batch = simulate_profile_batch(&engine, Protocol::AbftPeriodicCkpt, &lib_only, &[3]);
         assert_eq!(batch[0], scalar);
+    }
+
+    #[test]
+    fn compile_respects_the_composite_phase_structure() {
+        let engine = fig7_engine(FailureSpec::Exponential);
+        let plan = engine.plan();
+        let library = Step::AbftWork {
+            work: plan.phi * 100.0,
+        };
+        let exit = Step::AbftCkpt {
+            cost: plan.ckpt_library,
+        };
+        // A short general phase compiles to one period ending in the forced
+        // REMAINDER checkpoint; a zero general phase with library work
+        // compiles to a forced entry checkpoint.
+        let short = ApplicationProfile::uniform(1, plan.full_period / 2.0, 100.0).unwrap();
+        let p = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &short, plan);
+        assert_eq!(
+            p.steps,
+            [
+                Step::Period {
+                    work: plan.full_period / 2.0,
+                    ckpt: plan.ckpt_remainder,
+                },
+                library,
+                exit,
+            ]
+        );
+        let none = ApplicationProfile::uniform(1, 0.0, 100.0).unwrap();
+        let p = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &none, plan);
+        assert_eq!(
+            p.steps,
+            [
+                Step::Forced {
+                    cost: plan.ckpt_remainder,
+                },
+                library,
+                exit,
+            ]
+        );
+        // A long general phase streams with full periodic checkpoints.
+        let long = ApplicationProfile::uniform(1, plan.full_period * 3.0, 100.0).unwrap();
+        let p = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &long, plan);
+        let periods = p.len() - 2;
+        assert!(periods >= 3, "{periods} periods");
+        assert!(p.steps[..periods]
+            .iter()
+            .all(|s| matches!(s, Step::Period { ckpt, .. } if *ckpt == plan.ckpt_full)));
+        assert_eq!(p.steps[periods..], [library, exit]);
+        // Pure compiles to one full-checkpoint stream over the whole
+        // profile; bi to a full-checkpoint stream over the general phase and
+        // a library-checkpoint stream over the library phase, per epoch.
+        let stream = |steps: &[Step], ckpt: f64| -> f64 {
+            steps
+                .iter()
+                .map(|s| match *s {
+                    Step::Period { work, ckpt: c } if c == ckpt => work,
+                    other => panic!("{other:?} is not a period with checkpoint {ckpt}"),
+                })
+                .sum()
+        };
+        let pure = BatchProgram::compile(Protocol::PurePeriodicCkpt, &long, plan);
+        assert!(pure.len() > 3);
+        assert!((stream(&pure.steps, plan.ckpt_full) - long.total_duration()).abs() < 1e-6);
+        let bi = BatchProgram::compile(Protocol::BiPeriodicCkpt, &long, plan);
+        let general = bi.len() - 1; // 100 s of library work fit one library period
+        assert!(
+            (stream(&bi.steps[..general], plan.ckpt_full) - plan.full_period * 3.0).abs() < 1e-6
+        );
+        assert_eq!(stream(&bi.steps[general..], plan.ckpt_library), 100.0);
+        assert_eq!(pure.protocol(), Protocol::PurePeriodicCkpt);
+        assert_eq!(bi.protocol(), Protocol::BiPeriodicCkpt);
     }
 }

@@ -30,6 +30,22 @@ impl ActivityResult {
     }
 }
 
+/// The clock primitive the step interpreter of
+/// [`crate::batch::BatchProgram`] runs on: [`SimClock`] for crash-resume,
+/// a register-resident batch lane for the batch slow path.
+pub(crate) trait TryRun {
+    /// Attempts to run an activity of the given duration (see
+    /// [`SimClock::try_run`]).
+    fn try_run(&mut self, duration: f64) -> ActivityResult;
+}
+
+impl<F: FailureSource> TryRun for SimClock<F> {
+    #[inline]
+    fn try_run(&mut self, duration: f64) -> ActivityResult {
+        SimClock::try_run(self, duration)
+    }
+}
+
 /// Simulation clock drawing failure arrivals from a [`FailureSource`]
 /// (a freshly-seeded exponential stream by default).
 ///

@@ -1,4 +1,4 @@
-//! The protocol engine: a shared event loop driving pluggable executors.
+//! The protocol engine: a shared event loop driving the three protocols.
 //!
 //! Where the original simulator hard-coded one epoch unfolding per protocol,
 //! this module factors the machinery into three layers:
@@ -12,12 +12,9 @@
 //! * the shared event loop — [`checkpointed_stream`], [`forced_checkpoint`]
 //!   and [`abft_protected_stream`], the failure-interruptible building
 //!   blocks every protocol composes;
-//! * [`ProtocolExecutor`] — the pluggable strategy: given a clock, a
-//!   multi-epoch [`ApplicationProfile`] and the plan, unfold the whole
-//!   application.  [`PureExecutor`], [`BiExecutor`] and
-//!   [`CompositeExecutor`] implement the paper's three protocols; new
-//!   protocols (e.g. forward/backward composite recovery schemes) plug in
-//!   without touching the engine or the sweep subsystem.
+//! * one executor per protocol — given a clock, a multi-epoch
+//!   [`ApplicationProfile`] and the plan, unfold the whole application.
+//!   [`Engine`] dispatches on [`Protocol`] to them.
 //!
 //! The executors are generic over the clock's [`FailureSource`], so the same
 //! protocol code runs under exponential (the paper) and Weibull (robustness
@@ -26,15 +23,19 @@
 //! **same** failure sequence to every protocol (common random numbers),
 //! turning protocol comparisons into paired comparisons.
 //!
-//! For a single-epoch profile the engine reproduces the pre-refactor
-//! `simulate()` results on the same seed (see the pinned-seed regression
-//! test in `tests/engine_regression.rs`).
+//! These executors are the scalar reference of the workspace: the batch
+//! engine and crash-resume ([`crate::batch`], [`crate::resume`]) share one
+//! compiled step program and interpreter instead, and the differential
+//! harnesses check them against the loops here.  For a single-epoch profile
+//! the engine reproduces the pre-refactor `simulate()` results on the same
+//! seed (see the pinned-seed regression test in
+//! `tests/engine_regression.rs`).
 
 use ft_composite::model::analytic::{AnyWasteModel, WasteModel};
 use ft_composite::params::ModelParams;
 use ft_composite::scenario::{ApplicationProfile, Epoch};
 use ft_platform::failure::{
-    AnyFailureModel, ExponentialFailures, FailureModel, FailureSource, FailureSpec, FailureStream,
+    AnyFailureModel, ExponentialFailures, FailureModel, FailureSource, FailureSpec,
 };
 use ft_platform::trace::TraceBuffer;
 
@@ -218,62 +219,41 @@ pub fn abft_protected_stream<F: FailureSource>(
     }
 }
 
-/// A pluggable fault-tolerance protocol: unfolds a whole application
-/// profile over the failure stream of a clock, charging every
-/// protocol-specific overhead.
-pub trait ProtocolExecutor<F: FailureSource = FailureStream<ExponentialFailures>> {
-    /// Which protocol this executor implements (used for reporting).
-    fn protocol(&self) -> Protocol;
-
-    /// Unfolds `profile` on `clock` under this protocol.
-    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan);
-}
-
 /// Phase-oblivious coordinated periodic checkpointing: the whole application
 /// — all epochs, GENERAL and LIBRARY phases alike — is one checkpointed
 /// stream with full checkpoints (epoch boundaries are invisible to the
 /// protocol).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PureExecutor;
-
-impl<F: FailureSource> ProtocolExecutor<F> for PureExecutor {
-    fn protocol(&self) -> Protocol {
-        Protocol::PurePeriodicCkpt
-    }
-
-    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan) {
-        checkpointed_stream(
-            clock,
-            profile.total_duration(),
-            plan.ckpt_full,
-            plan.full_period,
-            plan,
-        );
-    }
+fn run_pure<F: FailureSource>(
+    clock: &mut SimClock<F>,
+    profile: &ApplicationProfile,
+    plan: &PeriodPlan,
+) {
+    checkpointed_stream(
+        clock,
+        profile.total_duration(),
+        plan.ckpt_full,
+        plan.full_period,
+        plan,
+    );
 }
 
 /// Phase-aware periodic checkpointing: GENERAL phases carry full
 /// checkpoints, LIBRARY phases carry incremental (`ρC`) checkpoints;
 /// recovery still reloads everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BiExecutor;
-
-impl<F: FailureSource> ProtocolExecutor<F> for BiExecutor {
-    fn protocol(&self) -> Protocol {
-        Protocol::BiPeriodicCkpt
-    }
-
-    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan) {
-        for epoch in profile.epochs() {
-            checkpointed_stream(clock, epoch.general, plan.ckpt_full, plan.full_period, plan);
-            checkpointed_stream(
-                clock,
-                epoch.library,
-                plan.ckpt_library,
-                plan.library_period,
-                plan,
-            );
-        }
+fn run_bi<F: FailureSource>(
+    clock: &mut SimClock<F>,
+    profile: &ApplicationProfile,
+    plan: &PeriodPlan,
+) {
+    for epoch in profile.epochs() {
+        checkpointed_stream(clock, epoch.general, plan.ckpt_full, plan.full_period, plan);
+        checkpointed_stream(
+            clock,
+            epoch.library,
+            plan.ckpt_library,
+            plan.library_period,
+            plan,
+        );
     }
 }
 
@@ -281,64 +261,57 @@ impl<F: FailureSource> ProtocolExecutor<F> for BiExecutor {
 /// the forced entry checkpoint of the REMAINDER dataset before each library
 /// call), ABFT inside LIBRARY phases (with the forced exit checkpoint of
 /// the LIBRARY dataset after each call).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompositeExecutor;
-
-impl CompositeExecutor {
-    /// GENERAL phase of one epoch: periodic checkpointing when the phase is
-    /// long, otherwise only the forced entry checkpoint of the REMAINDER
-    /// dataset (a failure rolls back to the start of the phase).
-    fn run_general<F: FailureSource>(clock: &mut SimClock<F>, epoch: &Epoch, plan: &PeriodPlan) {
-        let work = epoch.general;
-        if work <= 0.0 {
-            // Even with no GENERAL work, entering the library requires the
-            // forced partial checkpoint of the REMAINDER dataset.
-            if epoch.library > 0.0 {
-                forced_checkpoint(clock, plan.ckpt_remainder, plan);
-            }
-            return;
-        }
-        if work < plan.full_period {
-            // Short phase: no periodic checkpoint, a failure rolls back to
-            // the start of the phase; the phase ends with the forced partial
-            // checkpoint of the REMAINDER dataset.
-            'attempt: loop {
-                let mut done = 0.0;
-                while done < work {
-                    match clock.try_run(work - done) {
-                        ActivityResult::Completed => done = work,
-                        ActivityResult::Interrupted { .. } => {
-                            clock.recover(plan.downtime, plan.recovery);
-                            done = 0.0;
-                        }
-                    }
-                }
-                match clock.try_run(plan.ckpt_remainder) {
-                    ActivityResult::Completed => break 'attempt,
-                    ActivityResult::Interrupted { .. } => {
-                        clock.recover(plan.downtime, plan.recovery);
-                    }
-                }
-            }
-        } else {
-            // Long phase: regular periodic checkpointing; the last checkpoint
-            // doubles as the forced entry checkpoint (the paper's "the last
-            // periodic checkpoint replaces that of size C_L̄").
-            checkpointed_stream(clock, work, plan.ckpt_full, plan.full_period, plan);
-        }
+fn run_composite<F: FailureSource>(
+    clock: &mut SimClock<F>,
+    profile: &ApplicationProfile,
+    plan: &PeriodPlan,
+) {
+    for epoch in profile.epochs() {
+        composite_general(clock, epoch, plan);
+        abft_protected_stream(clock, epoch.library, plan);
     }
 }
 
-impl<F: FailureSource> ProtocolExecutor<F> for CompositeExecutor {
-    fn protocol(&self) -> Protocol {
-        Protocol::AbftPeriodicCkpt
-    }
-
-    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan) {
-        for epoch in profile.epochs() {
-            Self::run_general(clock, epoch, plan);
-            abft_protected_stream(clock, epoch.library, plan);
+/// GENERAL phase of one composite epoch: periodic checkpointing when the
+/// phase is long, otherwise only the forced entry checkpoint of the
+/// REMAINDER dataset (a failure rolls back to the start of the phase).
+fn composite_general<F: FailureSource>(clock: &mut SimClock<F>, epoch: &Epoch, plan: &PeriodPlan) {
+    let work = epoch.general;
+    if work <= 0.0 {
+        // Even with no GENERAL work, entering the library requires the
+        // forced partial checkpoint of the REMAINDER dataset.
+        if epoch.library > 0.0 {
+            forced_checkpoint(clock, plan.ckpt_remainder, plan);
         }
+        return;
+    }
+    if work < plan.full_period {
+        // Short phase: no periodic checkpoint, a failure rolls back to
+        // the start of the phase; the phase ends with the forced partial
+        // checkpoint of the REMAINDER dataset.
+        'attempt: loop {
+            let mut done = 0.0;
+            while done < work {
+                match clock.try_run(work - done) {
+                    ActivityResult::Completed => done = work,
+                    ActivityResult::Interrupted { .. } => {
+                        clock.recover(plan.downtime, plan.recovery);
+                        done = 0.0;
+                    }
+                }
+            }
+            match clock.try_run(plan.ckpt_remainder) {
+                ActivityResult::Completed => break 'attempt,
+                ActivityResult::Interrupted { .. } => {
+                    clock.recover(plan.downtime, plan.recovery);
+                }
+            }
+        }
+    } else {
+        // Long phase: regular periodic checkpointing; the last checkpoint
+        // doubles as the forced entry checkpoint (the paper's "the last
+        // periodic checkpoint replaces that of size C_L̄").
+        checkpointed_stream(clock, work, plan.ckpt_full, plan.full_period, plan);
     }
 }
 
@@ -422,26 +395,6 @@ impl Engine {
             .expect("a built failure model always has a valid spec")
     }
 
-    /// Runs a custom executor over a profile on a caller-supplied clock
-    /// (any failure model).
-    pub fn run_with<F, E>(
-        &self,
-        executor: &E,
-        profile: &ApplicationProfile,
-        mut clock: SimClock<F>,
-    ) -> SimOutcome
-    where
-        F: FailureSource,
-        E: ProtocolExecutor<F> + ?Sized,
-    {
-        executor.execute(&mut clock, profile, &self.plan);
-        SimOutcome {
-            final_time: clock.now(),
-            base_time: profile.total_duration(),
-            failures: clock.failures(),
-        }
-    }
-
     /// Simulates one of the paper's protocols over an arbitrary multi-epoch
     /// profile, under the engine's failure model seeded deterministically.
     pub fn simulate_profile(
@@ -454,17 +407,22 @@ impl Engine {
         self.dispatch(protocol, profile, clock)
     }
 
-    /// Runs the built-in executor of `protocol` on an arbitrary clock.
+    /// Runs the executor of `protocol` on an arbitrary clock.
     fn dispatch<F: FailureSource>(
         &self,
         protocol: Protocol,
         profile: &ApplicationProfile,
-        clock: SimClock<F>,
+        mut clock: SimClock<F>,
     ) -> SimOutcome {
         match protocol {
-            Protocol::PurePeriodicCkpt => self.run_with(&PureExecutor, profile, clock),
-            Protocol::BiPeriodicCkpt => self.run_with(&BiExecutor, profile, clock),
-            Protocol::AbftPeriodicCkpt => self.run_with(&CompositeExecutor, profile, clock),
+            Protocol::PurePeriodicCkpt => run_pure(&mut clock, profile, &self.plan),
+            Protocol::BiPeriodicCkpt => run_bi(&mut clock, profile, &self.plan),
+            Protocol::AbftPeriodicCkpt => run_composite(&mut clock, profile, &self.plan),
+        }
+        SimOutcome {
+            final_time: clock.now(),
+            base_time: profile.total_duration(),
+            failures: clock.failures(),
         }
     }
 
@@ -577,7 +535,6 @@ impl Engine {
 mod tests {
     use super::*;
     use ft_composite::young_daly::paper_optimal_period;
-    use ft_platform::failure::WeibullFailures;
     use ft_platform::units::{hours, minutes, weeks};
 
     fn calm_params() -> ModelParams {
@@ -718,22 +675,14 @@ mod tests {
     #[test]
     fn executors_run_under_weibull_failures() {
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
-        let engine = Engine::new(&params);
+        let engine =
+            Engine::with_failure_spec(&params, FailureSpec::Weibull { shape: 0.7 }).unwrap();
         let profile = ApplicationProfile::from_params(&params);
-        let model = WeibullFailures::new(params.platform_mtbf, 0.7).unwrap();
-        for (executor, protocol) in [
-            (
-                &PureExecutor as &dyn ProtocolExecutor<FailureStream<WeibullFailures>>,
-                Protocol::PurePeriodicCkpt,
-            ),
-            (&BiExecutor, Protocol::BiPeriodicCkpt),
-            (&CompositeExecutor, Protocol::AbftPeriodicCkpt),
-        ] {
-            assert_eq!(executor.protocol(), protocol);
-            let out = engine.run_with(executor, &profile, SimClock::with_model(model, 11));
+        for protocol in Protocol::all() {
+            let out = engine.simulate_profile(protocol, &profile, 11);
             assert!(out.final_time > out.base_time);
             assert!(out.failures > 0);
-            let again = engine.run_with(executor, &profile, SimClock::with_model(model, 11));
+            let again = engine.simulate_profile(protocol, &profile, 11);
             assert_eq!(out, again);
         }
     }
@@ -801,38 +750,5 @@ mod tests {
         // And the whole paired run is reproducible.
         let again = engine.simulate_paired(&profile, 11, &mut buffer);
         assert_eq!([pure, bi, composite], again);
-    }
-
-    #[test]
-    fn a_custom_executor_plugs_into_the_engine() {
-        // A protocol that ignores failures entirely (an oracle lower bound):
-        // the engine accepts it like any built-in executor.
-        struct OracleExecutor;
-        impl<F: FailureSource> ProtocolExecutor<F> for OracleExecutor {
-            fn protocol(&self) -> Protocol {
-                Protocol::PurePeriodicCkpt
-            }
-            fn execute(
-                &self,
-                clock: &mut SimClock<F>,
-                profile: &ApplicationProfile,
-                _plan: &PeriodPlan,
-            ) {
-                let mut remaining = profile.total_duration();
-                while remaining > 0.0 {
-                    match clock.try_run(remaining) {
-                        ActivityResult::Completed => remaining = 0.0,
-                        ActivityResult::Interrupted { progress } => remaining -= progress,
-                    }
-                }
-            }
-        }
-        let params = ModelParams::paper_figure7(0.5, minutes(90.0)).unwrap();
-        let engine = Engine::new(&params);
-        let profile = ApplicationProfile::from_params(&params);
-        let oracle = engine.run_with(&OracleExecutor, &profile, SimClock::new(params.platform_mtbf, 5));
-        let real = engine.simulate_profile(Protocol::PurePeriodicCkpt, &profile, 5);
-        assert!((oracle.final_time - oracle.base_time).abs() < 1e-6);
-        assert!(real.final_time > oracle.final_time);
     }
 }

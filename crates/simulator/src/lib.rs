@@ -11,8 +11,9 @@
 //!   primitive (run an activity until it completes or a failure interrupts
 //!   it) and the interruptible recovery helper;
 //! * [`engine`] — the shared event loop, the per-point precomputed
-//!   [`PeriodPlan`] and the pluggable [`ProtocolExecutor`]s for the three
-//!   protocols over multi-epoch application profiles;
+//!   [`PeriodPlan`] and the scalar executors of the three protocols over
+//!   multi-epoch application profiles — the reference the other engines
+//!   are checked against;
 //! * [`protocols`] — protocol identities ([`Protocol`]) and simulation
 //!   outcomes ([`SimOutcome`]);
 //! * [`stats`] — Welford accumulation, confidence intervals, the single
@@ -22,16 +23,21 @@
 //!   path) under a [`ReplicationBudget`] — fixed counts or adaptive
 //!   precision-targeted stopping — with common-random-numbers pairing of
 //!   protocols over shared failure traces ([`accumulate_paired`]);
-//! * [`batch`](mod@batch) — the structure-of-arrays batch engine: many
-//!   replications of one parameter point advanced in lockstep through a
-//!   compiled step program, bit-exact with the scalar executors (proven by
-//!   the differential oracle harness in `tests/batch_engine_oracle.rs`);
+//! * [`batch`](mod@batch) — the compiled step program ([`BatchProgram`])
+//!   and its step interpreter, and the structure-of-arrays batch engine
+//!   built on them: many replications of one parameter point advanced in
+//!   lockstep, driven by one replication driver ([`accumulate_batch`]) for
+//!   single and paired protocols at any lane width and thread count,
+//!   bit-exact with the scalar executors (proven by the differential oracle
+//!   harness in `tests/batch_engine_oracle.rs`);
 //! * [`validate`] — model-versus-simulation comparison grids (the right-hand
 //!   column of Figure 7);
-//! * [`resume`](mod@resume) — crash-resume: kill a run at any snapshot
-//!   boundary, persist a [`SimSnapshot`] through `ft-ckpt`'s checksummed
-//!   frame pipeline, and resume bit-identically (proven by the differential
-//!   harness in `tests/crash_resume.rs`).
+//! * [`resume`](mod@resume) — crash-resume over the same compiled program
+//!   and interpreter: kill a run at any snapshot boundary, persist a
+//!   [`SimSnapshot`] (step index, ABFT progress, clock) through `ft-ckpt`'s
+//!   checksummed frame pipeline, and resume bit-identically (proven by the
+//!   differential harness in `tests/crash_resume.rs`); malformed snapshots
+//!   are refused with a typed [`SnapshotError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,19 +53,14 @@ pub mod stats;
 pub mod validate;
 
 pub use batch::{
-    accumulate_paired_engine_batch, accumulate_paired_programs_batch,
-    accumulate_profile_engine_batch, accumulate_profile_program_batch, simulate_profile_batch,
-    simulate_profile_batch_antithetic, simulate_profile_batch_replay, BatchProgram,
-    BatchProgramCache, BatchState, DEFAULT_BATCH_LANES,
+    accumulate_batch, simulate_profile_batch, simulate_profile_batch_antithetic,
+    simulate_profile_batch_replay, BatchProgram, BatchProgramCache, BatchState,
+    DEFAULT_BATCH_LANES,
 };
 pub use clock::{ActivityResult, SimClock};
-pub use engine::{
-    BiExecutor, CompositeExecutor, Engine, PeriodPlan, ProtocolExecutor, PureExecutor,
-};
+pub use engine::{Engine, PeriodPlan};
 pub use protocols::{simulate, Protocol, SimOutcome};
-pub use resume::{
-    compile_steps, ResumableSim, ResumeStep, RunStatus, SimSnapshot, WithinStep,
-};
+pub use resume::{ResumableSim, RunStatus, SimSnapshot, SnapshotError};
 pub use replicate::{
     accumulate, accumulate_budget, accumulate_engine_budget, accumulate_paired,
     accumulate_paired_engine, accumulate_profile, accumulate_profile_budget,

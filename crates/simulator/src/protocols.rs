@@ -1,12 +1,10 @@
 //! Protocol identities and simulation outcomes.
 //!
 //! The actual epoch unfolding lives in the [`crate::engine`] module: a
-//! shared event loop driving one pluggable [`ProtocolExecutor`] per
-//! protocol.  This module keeps the stable surface the rest of the
-//! workspace consumes — the [`Protocol`] enum, the [`SimOutcome`] record and
-//! the one-shot [`simulate`] convenience wrapper.
-//!
-//! [`ProtocolExecutor`]: crate::engine::ProtocolExecutor
+//! shared event loop driving one executor per protocol.  This module keeps
+//! the stable surface the rest of the workspace consumes — the [`Protocol`]
+//! enum, the [`SimOutcome`] record and the one-shot [`simulate`]
+//! convenience wrapper.
 
 use ft_composite::params::ModelParams;
 use serde::{Deserialize, Serialize};

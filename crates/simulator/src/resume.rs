@@ -2,27 +2,32 @@
 //! snapshot through the durable checkpoint pipeline, reload, and continue
 //! **bit-identically**.
 //!
-//! [`ResumableSim`] compiles a protocol × profile pair into the linear
-//! sequence of [`ResumeStep`]s the engine executors would perform, then
-//! drives the exact same event loops (`checkpointed_stream`,
-//! `forced_checkpoint`, `abft_protected_stream` — mirrored statement for
-//! statement) while tracking *snapshot boundaries*: the points where a
-//! consistent [`SimSnapshot`] can be taken — after every committed
-//! checkpoint period, after every ABFT recovery, and at every step
-//! transition.
+//! [`ResumableSim`] compiles a protocol × profile pair into the same
+//! [`BatchProgram`] the batch engine runs, and walks its steps on one
+//! [`SimClock`] through the same step interpreter, while tracking *snapshot
+//! boundaries*: the points where a consistent [`SimSnapshot`] can be taken
+//! — at every transition between two steps (so after every committed
+//! checkpoint period, each being one step) and after every ABFT recovery
+//! (work is never lost there).
 //!
-//! A snapshot records the step position, the within-step progress (as raw
-//! `f64` bits), and the clock's `(now, next_failure, failures)` state.
-//! Because the trace-backed clock's draw count is a pure function of the
-//! interrupt count (`failures + 1` draws consumed), resuming positions the
-//! cursor with [`TraceBuffer::cursor_at`] and continues the run through the
-//! identical arithmetic on identical inputs — so the resumed outcome equals
-//! the uninterrupted one bit for bit (`tests/crash_resume.rs` proves this
-//! differentially across protocols, failure laws and every kill point).
+//! A snapshot records the program step index, the step's ABFT progress (raw
+//! `f64` bits; zero outside an ABFT work phase), and the clock's `(now,
+//! next_failure, failures)` state.  Because the trace-backed clock's draw
+//! count is a pure function of the interrupt count (`failures + 1` draws
+//! consumed), resuming positions the cursor with [`TraceBuffer::cursor_at`]
+//! and continues the run through the identical arithmetic on identical
+//! inputs — so the resumed outcome equals the uninterrupted one bit for bit
+//! (`tests/crash_resume.rs` proves this differentially across protocols,
+//! failure laws and every kill point, and anchors the uninterrupted run to
+//! the engine's executors).
 //!
 //! Snapshots persist through `ft-ckpt`'s checksummed frame pipeline
 //! ([`SimSnapshot::persist`] / [`SimSnapshot::load`]), so a resumed run
-//! only ever starts from a *verified* snapshot.
+//! only ever starts from a *verified* snapshot.  A record that cannot be a
+//! state of the run it is resumed into is refused with a typed
+//! [`SnapshotError`] ([`SimSnapshot::from_bytes`], [`ResumableSim::resume`]).
+
+use std::fmt;
 
 use ft_ckpt::backend::CheckpointBackend;
 use ft_ckpt::pipeline::{CheckpointPipeline, RestoreOutcome};
@@ -32,64 +37,21 @@ use ft_platform::checksum::ChecksumGen;
 use ft_platform::failure::{FailureModel, FailureSource};
 use ft_platform::trace::TraceBuffer;
 
-use crate::clock::{ActivityResult, SimClock};
-use crate::engine::{Engine, PeriodPlan};
+use crate::batch::{BatchProgram, Step};
+use crate::clock::SimClock;
+use crate::engine::Engine;
 use crate::protocols::{Protocol, SimOutcome};
-
-/// One linear unit of a compiled protocol run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ResumeStep {
-    /// A periodically-checkpointed work stream (`checkpointed_stream`).
-    Stream {
-        /// Useful work of the stream, seconds.
-        work: f64,
-        /// Checkpoint cost charged at each period.
-        ckpt: f64,
-        /// Checkpoint period (`+∞` disables periodic checkpointing).
-        period: f64,
-    },
-    /// A forced checkpoint retried until it completes.
-    Forced {
-        /// Cost of the forced checkpoint.
-        cost: f64,
-    },
-    /// A short GENERAL phase of the composite protocol: no periodic
-    /// checkpoints, rollback to the phase start, forced REMAINDER
-    /// checkpoint at the end.
-    ShortGeneral {
-        /// Useful work of the phase, seconds.
-        work: f64,
-    },
-    /// An ABFT-protected LIBRARY phase including its forced exit checkpoint.
-    Abft {
-        /// LIBRARY work (uninflated), seconds.
-        library: f64,
-    },
-}
-
-/// Where within a step a snapshot was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WithinStep {
-    /// At the start of the step (the previous step just completed).
-    StartOfStep,
-    /// Inside a [`ResumeStep::Stream`]: `saved` seconds of work are durably
-    /// checkpointed (raw `f64` bits).
-    StreamSaved(u64),
-    /// Inside a [`ResumeStep::Abft`]: `done` seconds of φ-inflated work are
-    /// performed (raw bits); `done == φ·library` means the phase work is
-    /// complete and the forced exit checkpoint is in progress.
-    AbftDone(u64),
-}
 
 /// A consistent, serializable snapshot of a simulation mid-run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimSnapshot {
     /// Protocol the run simulates (resume must use the same).
     pub protocol: Protocol,
-    /// Index of the step the run is in (or about to enter).
+    /// Index of the program step the run is in (or about to enter).
     pub step: usize,
-    /// Progress within that step.
-    pub within: WithinStep,
+    /// ABFT progress within that step, raw bits: the φ-inflated work done
+    /// so far of an ABFT work phase, `0.0` for every other step.
+    pub done_bits: u64,
     /// Clock `now`, raw bits.
     pub now_bits: u64,
     /// Clock `next_failure`, raw bits.
@@ -99,7 +61,98 @@ pub struct SimSnapshot {
     pub failures: u64,
 }
 
-const SNAPSHOT_BYTES: usize = 1 + 8 + 1 + 8 + 8 + 8 + 8;
+const SNAPSHOT_BYTES: usize = 1 + 8 + 8 + 8 + 8 + 8;
+
+/// Why a snapshot record cannot be resumed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SnapshotError {
+    /// The record is not the fixed snapshot length.
+    Length {
+        /// Length of the record, bytes.
+        len: usize,
+    },
+    /// The protocol tag names no protocol.
+    UnknownProtocol {
+        /// The tag byte read.
+        tag: u8,
+    },
+    /// The snapshot was taken under another protocol than the run resuming
+    /// it.
+    ProtocolMismatch {
+        /// Protocol recorded in the snapshot.
+        snapshot: Protocol,
+        /// Protocol of the resuming run.
+        run: Protocol,
+    },
+    /// The step index is at or past the end of the run's program.
+    StepOutOfRange {
+        /// Step index recorded in the snapshot.
+        step: usize,
+        /// Number of steps of the run's program.
+        steps: usize,
+    },
+    /// The ABFT progress is negative or not finite, or non-zero on a step
+    /// that keeps no progress.
+    Progress {
+        /// Step index recorded in the snapshot.
+        step: usize,
+        /// The recorded progress.
+        done: f64,
+    },
+    /// The clock's `now` or `next_failure` is not finite.
+    NonFiniteClock {
+        /// Recorded `now`.
+        now: f64,
+        /// Recorded `next_failure`.
+        next_failure: f64,
+    },
+    /// The failure count is too large to position the failure cursor
+    /// (`failures + 1` draws overflow).
+    FailureCount {
+        /// The recorded failure count.
+        failures: u64,
+    },
+}
+
+impl fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            SnapshotError::Length { len } => {
+                write!(
+                    f,
+                    "snapshot record is {len} bytes, expected {SNAPSHOT_BYTES}"
+                )
+            }
+            SnapshotError::UnknownProtocol { tag } => write!(f, "unknown protocol tag {tag}"),
+            SnapshotError::ProtocolMismatch { snapshot, run } => {
+                write!(f, "snapshot of {snapshot:?} resumed under {run:?}")
+            }
+            SnapshotError::StepOutOfRange { step, steps } => {
+                write!(
+                    f,
+                    "snapshot step {step} is not below the program's {steps} steps"
+                )
+            }
+            SnapshotError::Progress { step, done } => {
+                write!(f, "ABFT progress {done} does not fit step {step}")
+            }
+            SnapshotError::NonFiniteClock { now, next_failure } => {
+                write!(
+                    f,
+                    "non-finite clock (now {now}, next failure {next_failure})"
+                )
+            }
+            SnapshotError::FailureCount { failures } => {
+                write!(
+                    f,
+                    "failure count {failures} cannot position the failure cursor"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 fn protocol_tag(p: Protocol) -> u8 {
     match p {
@@ -109,52 +162,72 @@ fn protocol_tag(p: Protocol) -> u8 {
     }
 }
 
+/// Little-endian `u64` from the first 8 bytes of `s`.
+fn le_u64(s: &[u8]) -> u64 {
+    u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
+}
+
 impl SimSnapshot {
     /// Serializes the snapshot into a fixed-size little-endian record.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(SNAPSHOT_BYTES);
         out.push(protocol_tag(self.protocol));
         out.extend_from_slice(&(self.step as u64).to_le_bytes());
-        let (tag, payload) = match self.within {
-            WithinStep::StartOfStep => (0u8, 0u64),
-            WithinStep::StreamSaved(bits) => (1, bits),
-            WithinStep::AbftDone(bits) => (2, bits),
-        };
-        out.push(tag);
-        out.extend_from_slice(&payload.to_le_bytes());
+        out.extend_from_slice(&self.done_bits.to_le_bytes());
         out.extend_from_slice(&self.now_bits.to_le_bytes());
         out.extend_from_slice(&self.next_failure_bits.to_le_bytes());
         out.extend_from_slice(&self.failures.to_le_bytes());
         out
     }
 
-    /// Deserializes a snapshot; `None` on any malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    /// Deserializes a snapshot, refusing a malformed record and any field
+    /// no run can reach: a non-finite clock, negative or non-finite ABFT
+    /// progress, a failure count the cursor cannot skip.  Whether the step
+    /// fits a particular run is checked by [`ResumableSim::resume`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         if bytes.len() != SNAPSHOT_BYTES {
-            return None;
+            return Err(SnapshotError::Length { len: bytes.len() });
         }
         let protocol = match bytes[0] {
             0 => Protocol::PurePeriodicCkpt,
             1 => Protocol::BiPeriodicCkpt,
             2 => Protocol::AbftPeriodicCkpt,
-            _ => return None,
+            tag => return Err(SnapshotError::UnknownProtocol { tag }),
         };
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let payload = u64_at(10);
-        let within = match bytes[9] {
-            0 if payload == 0 => WithinStep::StartOfStep,
-            1 => WithinStep::StreamSaved(payload),
-            2 => WithinStep::AbftDone(payload),
-            _ => return None,
-        };
-        Some(Self {
+        let snapshot = Self {
             protocol,
-            step: u64_at(1) as usize,
-            within,
-            now_bits: u64_at(18),
-            next_failure_bits: u64_at(26),
-            failures: u64_at(34),
-        })
+            step: usize::try_from(le_u64(&bytes[1..])).unwrap_or(usize::MAX),
+            done_bits: le_u64(&bytes[9..]),
+            now_bits: le_u64(&bytes[17..]),
+            next_failure_bits: le_u64(&bytes[25..]),
+            failures: le_u64(&bytes[33..]),
+        };
+        snapshot.check()?;
+        Ok(snapshot)
+    }
+
+    /// Checks the fields that need no program — a finite clock, a finite
+    /// non-negative ABFT progress, a countable draw position — and returns
+    /// the failure count.
+    fn check(&self) -> Result<usize, SnapshotError> {
+        let now = f64::from_bits(self.now_bits);
+        let next_failure = f64::from_bits(self.next_failure_bits);
+        if !now.is_finite() || !next_failure.is_finite() {
+            return Err(SnapshotError::NonFiniteClock { now, next_failure });
+        }
+        let done = f64::from_bits(self.done_bits);
+        if !(done.is_finite() && done >= 0.0) {
+            return Err(SnapshotError::Progress {
+                step: self.step,
+                done,
+            });
+        }
+        usize::try_from(self.failures)
+            .ok()
+            .filter(|failures| failures.checked_add(1).is_some())
+            .ok_or(SnapshotError::FailureCount {
+                failures: self.failures,
+            })
     }
 
     /// Persists the snapshot through a durable checkpoint pipeline as a
@@ -180,7 +253,7 @@ impl SimSnapshot {
         B: CheckpointBackend,
     {
         let (bytes, outcome) = pipeline.restore_state()?;
-        let snapshot = Self::from_bytes(&bytes).ok_or(RestoreFault::CorruptFrame {
+        let snapshot = Self::from_bytes(&bytes).map_err(|_| RestoreFault::CorruptFrame {
             generation: outcome.generation,
             frame_index: 0,
         })?;
@@ -197,334 +270,68 @@ pub enum RunStatus {
     Killed(SimSnapshot),
 }
 
-/// Compiles `protocol` × `profile` into the linear step sequence the engine
-/// executors perform, using the same phase-structure decisions (short-phase
-/// threshold, zero-work guards) as `crate::engine`.
-pub fn compile_steps(
-    protocol: Protocol,
-    profile: &ApplicationProfile,
-    plan: &PeriodPlan,
-) -> Vec<ResumeStep> {
-    let mut steps = Vec::new();
-    match protocol {
-        Protocol::PurePeriodicCkpt => {
-            steps.push(ResumeStep::Stream {
-                work: profile.total_duration(),
-                ckpt: plan.ckpt_full,
-                period: plan.full_period,
-            });
-        }
-        Protocol::BiPeriodicCkpt => {
-            for epoch in profile.epochs() {
-                steps.push(ResumeStep::Stream {
-                    work: epoch.general,
-                    ckpt: plan.ckpt_full,
-                    period: plan.full_period,
-                });
-                steps.push(ResumeStep::Stream {
-                    work: epoch.library,
-                    ckpt: plan.ckpt_library,
-                    period: plan.library_period,
-                });
-            }
-        }
-        Protocol::AbftPeriodicCkpt => {
-            for epoch in profile.epochs() {
-                if epoch.general <= 0.0 {
-                    if epoch.library > 0.0 {
-                        steps.push(ResumeStep::Forced {
-                            cost: plan.ckpt_remainder,
-                        });
-                    }
-                } else if epoch.general < plan.full_period {
-                    steps.push(ResumeStep::ShortGeneral {
-                        work: epoch.general,
-                    });
-                } else {
-                    steps.push(ResumeStep::Stream {
-                        work: epoch.general,
-                        ckpt: plan.ckpt_full,
-                        period: plan.full_period,
-                    });
-                }
-                steps.push(ResumeStep::Abft {
-                    library: epoch.library,
-                });
-            }
-        }
-    }
-    steps
-}
-
 /// A protocol run that can be killed at any snapshot boundary and resumed
 /// bit-identically from the resulting [`SimSnapshot`].
 #[derive(Debug, Clone)]
-pub struct ResumableSim<'e> {
-    engine: &'e Engine,
-    protocol: Protocol,
-    steps: Vec<ResumeStep>,
-    base_time: f64,
+pub struct ResumableSim {
+    program: BatchProgram,
 }
 
-struct Driver<'p, F: FailureSource> {
-    clock: SimClock<F>,
-    plan: &'p PeriodPlan,
-    boundaries: usize,
-    kill_after: Option<usize>,
-}
-
-impl<F: FailureSource> Driver<'_, F> {
-    /// Marks a snapshot boundary; returns the within-step state to snapshot
-    /// when this is the boundary the run should be killed at.
-    fn boundary(&mut self, within: WithinStep) -> Option<WithinStep> {
-        self.boundaries += 1;
-        if self.kill_after == Some(self.boundaries) {
-            Some(within)
-        } else {
-            None
-        }
-    }
-
-    /// Mirror of `engine::checkpointed_stream`, resumable at period commits.
-    fn stream(
-        &mut self,
-        work: f64,
-        ckpt: f64,
-        period: f64,
-        start_saved: f64,
-    ) -> Option<WithinStep> {
-        if work <= 0.0 {
-            return None;
-        }
-        let work_per_period = if period.is_finite() && period > ckpt {
-            period - ckpt
-        } else {
-            work
-        };
-        let mut saved = start_saved;
-        while saved < work {
-            let target = work_per_period.min(work - saved);
-            'attempt: loop {
-                let mut done = 0.0;
-                while done < target {
-                    match self.clock.try_run(target - done) {
-                        ActivityResult::Completed => done = target,
-                        ActivityResult::Interrupted { .. } => {
-                            self.clock.recover(self.plan.downtime, self.plan.recovery);
-                            done = 0.0;
-                        }
-                    }
-                }
-                match self.clock.try_run(ckpt) {
-                    ActivityResult::Completed => break 'attempt,
-                    ActivityResult::Interrupted { .. } => {
-                        self.clock.recover(self.plan.downtime, self.plan.recovery);
-                    }
-                }
-            }
-            saved += target;
-            if saved < work {
-                if let Some(within) = self.boundary(WithinStep::StreamSaved(saved.to_bits())) {
-                    return Some(within);
-                }
-            }
-        }
-        None
-    }
-
-    /// Mirror of `engine::forced_checkpoint` (no interior boundaries).
-    fn forced(&mut self, cost: f64) {
-        loop {
-            match self.clock.try_run(cost) {
-                ActivityResult::Completed => return,
-                ActivityResult::Interrupted { .. } => {
-                    self.clock.recover(self.plan.downtime, self.plan.recovery);
-                }
-            }
-        }
-    }
-
-    /// Mirror of the short-GENERAL-phase loop of
-    /// `engine::CompositeExecutor::run_general` (no interior boundaries).
-    fn short_general(&mut self, work: f64) {
-        'attempt: loop {
-            let mut done = 0.0;
-            while done < work {
-                match self.clock.try_run(work - done) {
-                    ActivityResult::Completed => done = work,
-                    ActivityResult::Interrupted { .. } => {
-                        self.clock.recover(self.plan.downtime, self.plan.recovery);
-                        done = 0.0;
-                    }
-                }
-            }
-            match self.clock.try_run(self.plan.ckpt_remainder) {
-                ActivityResult::Completed => break 'attempt,
-                ActivityResult::Interrupted { .. } => {
-                    self.clock.recover(self.plan.downtime, self.plan.recovery);
-                }
-            }
-        }
-    }
-
-    /// Mirror of `engine::abft_recover`.
-    fn abft_recover(&mut self) {
-        loop {
-            if self.clock.try_run(self.plan.downtime).is_completed()
-                && self.clock.try_run(self.plan.recovery_remainder).is_completed()
-                && self.clock.try_run(self.plan.abft_reconstruction).is_completed()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Mirror of `engine::abft_protected_stream`, resumable after every
-    /// ABFT recovery (work is never lost, so any recovered point is
-    /// consistent).  `start_done = φ·library` resumes inside the forced
-    /// exit-checkpoint loop.
-    fn abft(&mut self, library: f64, start_done: Option<f64>) -> Option<WithinStep> {
-        if library <= 0.0 {
-            return None;
-        }
-        let abft_work = self.plan.phi * library;
-        let mut done = start_done.unwrap_or(0.0);
-        while done < abft_work {
-            match self.clock.try_run(abft_work - done) {
-                ActivityResult::Completed => done = abft_work,
-                ActivityResult::Interrupted { progress } => {
-                    done += progress;
-                    self.abft_recover();
-                    if let Some(within) = self.boundary(WithinStep::AbftDone(done.to_bits())) {
-                        return Some(within);
-                    }
-                }
-            }
-        }
-        while !self.clock.try_run(self.plan.ckpt_library).is_completed() {
-            self.abft_recover();
-            if let Some(within) = self.boundary(WithinStep::AbftDone(abft_work.to_bits())) {
-                return Some(within);
-            }
-        }
-        None
-    }
-}
-
-impl<'e> ResumableSim<'e> {
+impl ResumableSim {
     /// Compiles a resumable run of `protocol` over `profile` on `engine`'s
     /// plan and failure model.
-    pub fn new(engine: &'e Engine, protocol: Protocol, profile: &ApplicationProfile) -> Self {
+    pub fn new(engine: &Engine, protocol: Protocol, profile: &ApplicationProfile) -> Self {
         Self {
-            engine,
-            protocol,
-            steps: compile_steps(protocol, profile, engine.plan()),
-            base_time: profile.total_duration(),
+            program: BatchProgram::compile(protocol, profile, engine.plan()),
         }
     }
 
-    /// The compiled step sequence.
-    pub fn steps(&self) -> &[ResumeStep] {
-        &self.steps
-    }
-
+    /// Runs the program from step `step`, with ABFT progress `done`, on
+    /// `clock`, counting snapshot boundaries.  Returns the boundary count
+    /// and, when boundary `kill_after` is reached, the `(step, done)`
+    /// position the run stopped at.
     fn drive<F: FailureSource>(
         &self,
-        clock: SimClock<F>,
-        start_step: usize,
-        start_within: WithinStep,
+        clock: &mut SimClock<F>,
+        mut step: usize,
+        mut done: f64,
         kill_after: Option<usize>,
-    ) -> (RunStatus, usize) {
-        let mut driver = Driver {
-            clock,
-            plan: self.engine.plan(),
-            boundaries: 0,
-            kill_after,
+    ) -> (usize, Option<(usize, f64)>) {
+        let steps = &self.program.steps;
+        let mut boundaries = 0usize;
+        let mut boundary = || {
+            boundaries += 1;
+            kill_after == Some(boundaries)
         };
-        let mut within = start_within;
-        let mut step_index = start_step;
-        while step_index < self.steps.len() {
-            let killed = match (self.steps[step_index], within) {
-                (ResumeStep::Stream { work, ckpt, period }, w) => {
-                    let start_saved = match w {
-                        WithinStep::StreamSaved(bits) => f64::from_bits(bits),
-                        _ => 0.0,
-                    };
-                    driver.stream(work, ckpt, period, start_saved)
-                }
-                (ResumeStep::Forced { cost }, _) => {
-                    driver.forced(cost);
-                    None
-                }
-                (ResumeStep::ShortGeneral { work }, _) => {
-                    driver.short_general(work);
-                    None
-                }
-                (ResumeStep::Abft { library }, w) => {
-                    let start_done = match w {
-                        WithinStep::AbftDone(bits) => Some(f64::from_bits(bits)),
-                        _ => None,
-                    };
-                    driver.abft(library, start_done)
-                }
-            };
-            if let Some(kill_within) = killed {
-                return (
-                    RunStatus::Killed(self.snapshot(&driver.clock, step_index, kill_within)),
-                    driver.boundaries,
-                );
+        while step < steps.len() {
+            if let Some(done) = self
+                .program
+                .run_step(steps[step], clock, done, &mut boundary)
+            {
+                return (boundaries, Some((step, done)));
             }
-            within = WithinStep::StartOfStep;
-            step_index += 1;
-            // Step-transition boundary (including run completion, where a
-            // snapshot resumes into an immediately-finished run).
-            if let Some(kill_within) = driver.boundary(WithinStep::StartOfStep) {
-                return (
-                    RunStatus::Killed(self.snapshot(&driver.clock, step_index, kill_within)),
-                    driver.boundaries,
-                );
+            step += 1;
+            done = 0.0;
+            if step < steps.len() && boundary() {
+                return (boundaries, Some((step, done)));
             }
         }
-        (
-            RunStatus::Finished(SimOutcome {
-                final_time: driver.clock.now(),
-                base_time: self.base_time,
-                failures: driver.clock.failures(),
-            }),
-            driver.boundaries,
-        )
+        (boundaries, None)
     }
 
-    fn snapshot<F: FailureSource>(
-        &self,
-        clock: &SimClock<F>,
-        step: usize,
-        within: WithinStep,
-    ) -> SimSnapshot {
-        SimSnapshot {
-            protocol: self.protocol,
-            step,
-            within,
-            now_bits: clock.now().to_bits(),
-            next_failure_bits: clock.next_failure_time().to_bits(),
-            failures: clock.failures() as u64,
+    fn outcome<F: FailureSource>(&self, clock: &SimClock<F>) -> SimOutcome {
+        SimOutcome {
+            final_time: clock.now(),
+            base_time: self.program.base_time(),
+            failures: clock.failures(),
         }
     }
 
     /// Runs to completion, replaying `buffer`'s failure sequence.
     pub fn run<M: FailureModel>(&self, buffer: &mut TraceBuffer<M>) -> SimOutcome {
-        match self
-            .drive(
-                SimClock::with_source(buffer.cursor()),
-                0,
-                WithinStep::StartOfStep,
-                None,
-            )
-            .0
-        {
-            RunStatus::Finished(outcome) => outcome,
-            RunStatus::Killed(_) => unreachable!("no kill point requested"),
-        }
+        let mut clock = SimClock::with_source(buffer.cursor());
+        self.drive(&mut clock, 0, 0.0, None);
+        self.outcome(&clock)
     }
 
     /// Runs until the `kill_after`-th snapshot boundary (1-based); returns
@@ -535,55 +342,71 @@ impl<'e> ResumableSim<'e> {
         buffer: &mut TraceBuffer<M>,
         kill_after: usize,
     ) -> RunStatus {
-        self.drive(
-            SimClock::with_source(buffer.cursor()),
-            0,
-            WithinStep::StartOfStep,
-            Some(kill_after.max(1)),
-        )
-        .0
+        let mut clock = SimClock::with_source(buffer.cursor());
+        match self.drive(&mut clock, 0, 0.0, Some(kill_after.max(1))).1 {
+            Some((step, done)) => RunStatus::Killed(SimSnapshot {
+                protocol: self.program.protocol(),
+                step,
+                done_bits: done.to_bits(),
+                now_bits: clock.now().to_bits(),
+                next_failure_bits: clock.next_failure_time().to_bits(),
+                failures: clock.failures() as u64,
+            }),
+            None => RunStatus::Finished(self.outcome(&clock)),
+        }
     }
 
     /// Total number of snapshot boundaries of the full run on this failure
     /// sequence (kill points `1..=count` are all valid).
     pub fn count_boundaries<M: FailureModel>(&self, buffer: &mut TraceBuffer<M>) -> usize {
-        self.drive(
-            SimClock::with_source(buffer.cursor()),
-            0,
-            WithinStep::StartOfStep,
-            None,
-        )
-        .1
+        let mut clock = SimClock::with_source(buffer.cursor());
+        self.drive(&mut clock, 0, 0.0, None).0
     }
 
     /// Resumes a killed run from its snapshot, repositioning the failure
     /// cursor at `failures + 1` draws (see [`SimClock::resume`]), and runs
     /// to completion.
     ///
-    /// # Panics
-    ///
-    /// If the snapshot's protocol does not match this run's.
+    /// A snapshot that is not a state of this run — another protocol, a
+    /// step past the program, ABFT progress outside an ABFT work phase, or
+    /// a field [`SimSnapshot::from_bytes`] would refuse — is an error, and
+    /// the buffer is left untouched.
     pub fn resume<M: FailureModel>(
         &self,
         buffer: &mut TraceBuffer<M>,
         snapshot: &SimSnapshot,
-    ) -> SimOutcome {
-        assert_eq!(
-            snapshot.protocol, self.protocol,
-            "snapshot of {:?} resumed under {:?}",
-            snapshot.protocol, self.protocol
-        );
-        let failures = snapshot.failures as usize;
-        let clock = SimClock::resume(
+    ) -> Result<SimOutcome, SnapshotError> {
+        let failures = snapshot.check()?;
+        let run = self.program.protocol();
+        if snapshot.protocol != run {
+            return Err(SnapshotError::ProtocolMismatch {
+                snapshot: snapshot.protocol,
+                run,
+            });
+        }
+        let step = *self
+            .program
+            .steps
+            .get(snapshot.step)
+            .ok_or(SnapshotError::StepOutOfRange {
+                step: snapshot.step,
+                steps: self.program.len(),
+            })?;
+        let done = f64::from_bits(snapshot.done_bits);
+        if done != 0.0 && !matches!(step, Step::AbftWork { .. }) {
+            return Err(SnapshotError::Progress {
+                step: snapshot.step,
+                done,
+            });
+        }
+        let mut clock = SimClock::resume(
             buffer.cursor_at(failures + 1),
             f64::from_bits(snapshot.now_bits),
             f64::from_bits(snapshot.next_failure_bits),
             failures,
         );
-        match self.drive(clock, snapshot.step, snapshot.within, None).0 {
-            RunStatus::Finished(outcome) => outcome,
-            RunStatus::Killed(_) => unreachable!("no kill point requested"),
-        }
+        self.drive(&mut clock, snapshot.step, done, None);
+        Ok(self.outcome(&clock))
     }
 }
 
@@ -596,6 +419,18 @@ mod tests {
     fn engine() -> Engine {
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
         Engine::new(&params)
+    }
+
+    /// A snapshot killed mid-run of the composite protocol, and its run.
+    fn killed_composite(engine: &Engine) -> (ResumableSim, SimSnapshot) {
+        let profile = ApplicationProfile::from_params_repeated(engine.params(), 2);
+        let sim = ResumableSim::new(engine, Protocol::AbftPeriodicCkpt, &profile);
+        let mut buffer = engine.trace_buffer(5);
+        buffer.reset(5);
+        let RunStatus::Killed(snapshot) = sim.run_killed(&mut buffer, 2) else {
+            panic!("kill point 2 did not kill");
+        };
+        (sim, snapshot)
     }
 
     #[test]
@@ -636,7 +471,7 @@ mod tests {
                     panic!("{protocol:?}: kill point {kill}/{total} did not kill");
                 };
                 buffer.reset(5);
-                let resumed = sim.resume(&mut buffer, &snapshot);
+                let resumed = sim.resume(&mut buffer, &snapshot).unwrap();
                 assert_eq!(
                     resumed.final_time.to_bits(),
                     reference.final_time.to_bits(),
@@ -645,6 +480,12 @@ mod tests {
                 assert_eq!(resumed.failures, reference.failures);
                 assert_eq!(resumed.base_time, reference.base_time);
             }
+            // One boundary past the last finishes the run instead.
+            buffer.reset(5);
+            assert_eq!(
+                sim.run_killed(&mut buffer, total + 1),
+                RunStatus::Finished(reference)
+            );
         }
     }
 
@@ -653,21 +494,148 @@ mod tests {
         let snapshot = SimSnapshot {
             protocol: Protocol::AbftPeriodicCkpt,
             step: 7,
-            within: WithinStep::AbftDone(1234.5f64.to_bits()),
+            done_bits: 1234.5f64.to_bits(),
             now_bits: 42.0f64.to_bits(),
             next_failure_bits: 99.75f64.to_bits(),
             failures: 13,
         };
         let bytes = snapshot.to_bytes();
         assert_eq!(bytes.len(), SNAPSHOT_BYTES);
-        assert_eq!(SimSnapshot::from_bytes(&bytes).unwrap(), snapshot);
-        assert!(SimSnapshot::from_bytes(&bytes[1..]).is_none());
-        let mut bad = bytes.clone();
-        bad[0] = 9;
-        assert!(SimSnapshot::from_bytes(&bad).is_none());
-        let mut bad_tag = bytes;
-        bad_tag[9] = 7;
-        assert!(SimSnapshot::from_bytes(&bad_tag).is_none());
+        assert_eq!(SimSnapshot::from_bytes(&bytes), Ok(snapshot));
+    }
+
+    #[test]
+    fn resume_refuses_a_record_of_the_wrong_length() {
+        let bytes = killed_composite(&engine()).1.to_bytes();
+        assert_eq!(
+            SimSnapshot::from_bytes(&bytes[1..]),
+            Err(SnapshotError::Length {
+                len: SNAPSHOT_BYTES - 1
+            })
+        );
+    }
+
+    #[test]
+    fn resume_refuses_an_unknown_protocol_tag() {
+        let mut bytes = killed_composite(&engine()).1.to_bytes();
+        bytes[0] = 9;
+        assert_eq!(
+            SimSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::UnknownProtocol { tag: 9 })
+        );
+    }
+
+    #[test]
+    fn resume_refuses_a_snapshot_of_another_protocol() {
+        let engine = engine();
+        let (sim, snapshot) = killed_composite(&engine);
+        let foreign = SimSnapshot {
+            protocol: Protocol::PurePeriodicCkpt,
+            ..snapshot
+        };
+        let mut buffer = engine.trace_buffer(5);
+        assert_eq!(
+            sim.resume(&mut buffer, &foreign),
+            Err(SnapshotError::ProtocolMismatch {
+                snapshot: Protocol::PurePeriodicCkpt,
+                run: Protocol::AbftPeriodicCkpt,
+            })
+        );
+    }
+
+    #[test]
+    fn resume_refuses_a_step_at_or_past_the_end() {
+        let engine = engine();
+        let (sim, snapshot) = killed_composite(&engine);
+        let steps = sim.program.len();
+        let mut buffer = engine.trace_buffer(5);
+        for step in [steps, steps + 1, usize::MAX] {
+            let past = SimSnapshot {
+                step,
+                done_bits: 0,
+                ..snapshot
+            };
+            assert_eq!(
+                sim.resume(&mut buffer, &past),
+                Err(SnapshotError::StepOutOfRange { step, steps })
+            );
+        }
+    }
+
+    #[test]
+    fn resume_refuses_progress_that_does_not_fit_its_step() {
+        let engine = engine();
+        let (sim, snapshot) = killed_composite(&engine);
+        let mut buffer = engine.trace_buffer(5);
+        // ABFT progress on the first step, a checkpointed period.
+        assert!(matches!(sim.program.steps[0], Step::Period { .. }));
+        let misplaced = SimSnapshot {
+            step: 0,
+            done_bits: 60.0f64.to_bits(),
+            ..snapshot
+        };
+        assert_eq!(
+            sim.resume(&mut buffer, &misplaced),
+            Err(SnapshotError::Progress {
+                step: 0,
+                done: 60.0
+            })
+        );
+        // Negative or non-finite progress never decodes.
+        for done in [-1.0, f64::NAN, f64::INFINITY] {
+            let bad = SimSnapshot {
+                done_bits: f64::to_bits(done),
+                ..snapshot
+            };
+            assert!(matches!(
+                SimSnapshot::from_bytes(&bad.to_bytes()),
+                Err(SnapshotError::Progress { .. })
+            ));
+            assert!(matches!(
+                sim.resume(&mut buffer, &bad),
+                Err(SnapshotError::Progress { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_non_finite_clock() {
+        let engine = engine();
+        let (sim, snapshot) = killed_composite(&engine);
+        let mut buffer = engine.trace_buffer(5);
+        for bad in [
+            SimSnapshot {
+                now_bits: f64::NAN.to_bits(),
+                ..snapshot
+            },
+            SimSnapshot {
+                next_failure_bits: f64::INFINITY.to_bits(),
+                ..snapshot
+            },
+        ] {
+            assert!(matches!(
+                SimSnapshot::from_bytes(&bad.to_bytes()),
+                Err(SnapshotError::NonFiniteClock { .. })
+            ));
+            assert!(matches!(
+                sim.resume(&mut buffer, &bad),
+                Err(SnapshotError::NonFiniteClock { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_failure_count_past_the_cursor_range() {
+        let engine = engine();
+        let (sim, snapshot) = killed_composite(&engine);
+        let bad = SimSnapshot {
+            failures: u64::MAX,
+            ..snapshot
+        };
+        let err = SnapshotError::FailureCount { failures: u64::MAX };
+        assert_eq!(SimSnapshot::from_bytes(&bad.to_bytes()), Err(err));
+        let mut buffer = engine.trace_buffer(5);
+        assert_eq!(sim.resume(&mut buffer, &bad), Err(err));
     }
 
     #[test]
@@ -677,7 +645,7 @@ mod tests {
         let snapshot = SimSnapshot {
             protocol: Protocol::PurePeriodicCkpt,
             step: 1,
-            within: WithinStep::StreamSaved(500.0f64.to_bits()),
+            done_bits: 0,
             now_bits: 1000.0f64.to_bits(),
             next_failure_bits: 1100.0f64.to_bits(),
             failures: 2,
@@ -688,28 +656,5 @@ mod tests {
         assert_eq!(loaded, snapshot);
         assert_eq!(outcome.generation, generation);
         assert_eq!(outcome.fallback_depth, 0);
-    }
-
-    #[test]
-    fn compile_steps_respects_the_composite_phase_structure() {
-        let engine = engine();
-        let plan = engine.plan();
-        // A short general phase compiles to ShortGeneral; a zero general
-        // phase with library work compiles to a Forced entry checkpoint.
-        let short = ApplicationProfile::uniform(1, plan.full_period / 2.0, 100.0).unwrap();
-        let steps = compile_steps(Protocol::AbftPeriodicCkpt, &short, plan);
-        assert!(matches!(steps[0], ResumeStep::ShortGeneral { .. }));
-        assert!(matches!(steps[1], ResumeStep::Abft { .. }));
-        let none = ApplicationProfile::uniform(1, 0.0, 100.0).unwrap();
-        let steps = compile_steps(Protocol::AbftPeriodicCkpt, &none, plan);
-        assert!(matches!(steps[0], ResumeStep::Forced { .. }));
-        // A long general phase streams with periodic checkpoints.
-        let long = ApplicationProfile::uniform(1, plan.full_period * 3.0, 100.0).unwrap();
-        let steps = compile_steps(Protocol::AbftPeriodicCkpt, &long, plan);
-        assert!(matches!(steps[0], ResumeStep::Stream { .. }));
-        // Pure compiles to exactly one stream.
-        assert_eq!(compile_steps(Protocol::PurePeriodicCkpt, &long, plan).len(), 1);
-        // Bi compiles to two streams per epoch.
-        assert_eq!(compile_steps(Protocol::BiPeriodicCkpt, &long, plan).len(), 2);
     }
 }

@@ -21,9 +21,8 @@ use abft_ckpt_composite::platform::rng::SeedStream;
 use abft_ckpt_composite::platform::scenario::ScenarioSpec;
 use abft_ckpt_composite::platform::units::{hours, minutes};
 use abft_ckpt_composite::sim::batch::{
-    accumulate_paired_engine_batch, accumulate_paired_programs_batch,
-    accumulate_profile_engine_batch, accumulate_profile_program_batch, simulate_profile_batch,
-    simulate_profile_batch_antithetic, simulate_profile_batch_replay, BatchProgram,
+    accumulate_batch, simulate_profile_batch, simulate_profile_batch_antithetic,
+    simulate_profile_batch_replay, BatchProgram,
 };
 use abft_ckpt_composite::sim::replicate::{
     accumulate_paired_engine, accumulate_profile_engine, ReplicationBudget, ReplicationPlan,
@@ -201,8 +200,10 @@ proptest! {
             ReplicationPlan::new(ReplicationBudget::Fixed(total)).antithetic(antithetic_bit == 1);
         for protocol in Protocol::all() {
             let scalar = accumulate_profile_engine(&engine, protocol, &profile, plan, master);
-            let batch =
-                accumulate_profile_engine_batch(&engine, protocol, &profile, plan, master, lanes);
+            let program = BatchProgram::compile(protocol, &profile, engine.plan());
+            let batch = accumulate_batch(&engine, &[&program], plan, master, lanes, 1)
+                .outcomes
+                .swap_remove(0);
             assert_eq!(scalar, batch, "{spec} {protocol:?} lanes {lanes}");
         }
     }
@@ -298,8 +299,10 @@ proptest! {
             ReplicationPlan::new(ReplicationBudget::Fixed(total)).antithetic(antithetic_bit == 1);
         for protocol in Protocol::all() {
             let scalar = accumulate_profile_engine(&engine, protocol, &profile, plan, master);
-            let batch =
-                accumulate_profile_engine_batch(&engine, protocol, &profile, plan, master, lanes);
+            let program = BatchProgram::compile(protocol, &profile, engine.plan());
+            let batch = accumulate_batch(&engine, &[&program], plan, master, lanes, 1)
+                .outcomes
+                .swap_remove(0);
             assert_eq!(scalar, batch, "{} {protocol:?} lanes {lanes}", model.name());
         }
     }
@@ -388,14 +391,11 @@ fn adaptive_stopping_is_width_invariant() {
         let scalar =
             accumulate_profile_engine(&engine, Protocol::AbftPeriodicCkpt, &profile, plan, 11);
         for lanes in [1usize, 33, 128, 256, 1024] {
-            let batch = accumulate_profile_engine_batch(
-                &engine,
-                Protocol::AbftPeriodicCkpt,
-                &profile,
-                plan,
-                11,
-                lanes,
-            );
+            let program =
+                BatchProgram::compile(Protocol::AbftPeriodicCkpt, &profile, engine.plan());
+            let batch = accumulate_batch(&engine, &[&program], plan, 11, lanes, 1)
+                .outcomes
+                .swap_remove(0);
             assert_eq!(scalar, batch, "antithetic={antithetic} lanes={lanes}");
         }
     }
@@ -466,9 +466,9 @@ fn parallel_program_driver_matches_the_scalar_oracle() {
                 43,
             );
             for threads in [1usize, 2, 3, 8] {
-                let batch = accumulate_profile_program_batch(
-                    &engine, &program, plan, 43, 48, threads,
-                );
+                let batch = accumulate_batch(&engine, &[&program], plan, 43, 48, threads)
+                    .outcomes
+                    .swap_remove(0);
                 assert_eq!(
                     scalar, batch,
                     "{budget:?} antithetic={antithetic} threads={threads}"
@@ -504,15 +504,7 @@ fn parallel_paired_driver_matches_the_scalar_oracle() {
             let plan = ReplicationPlan::new(budget).antithetic(antithetic);
             let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 29);
             for threads in [1usize, 2, 4, 7] {
-                let batch = accumulate_paired_programs_batch(
-                    &engine,
-                    &protocols,
-                    &program_refs,
-                    plan,
-                    29,
-                    32,
-                    threads,
-                );
+                let batch = accumulate_batch(&engine, &program_refs, plan, 29, 32, threads);
                 assert_eq!(
                     scalar, batch,
                     "{budget:?} antithetic={antithetic} threads={threads}"
@@ -544,9 +536,10 @@ fn paired_accumulation_is_bit_identical_under_batching() {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
                 let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 29);
                 for lanes in [1usize, 50, 128] {
-                    let batch = accumulate_paired_engine_batch(
-                        &engine, &protocols, &profile, plan, 29, lanes,
-                    );
+                    let programs =
+                        protocols.map(|p| BatchProgram::compile(p, &profile, engine.plan()));
+                    let batch =
+                        accumulate_batch(&engine, &programs.each_ref(), plan, 29, lanes, 1);
                     assert_eq!(
                         scalar, batch,
                         "{spec} {budget:?} antithetic={antithetic} lanes={lanes}"

@@ -42,6 +42,12 @@ fn resume_is_bit_identical_at_every_injection_point() {
             buffer.reset(41);
             let reference = sim.run(&mut buffer);
             buffer.reset(41);
+            assert_eq!(
+                reference,
+                engine.simulate_profile_replay(protocol, &profile, &mut buffer),
+                "the resumable run must equal the engine's executor"
+            );
+            buffer.reset(41);
             let total = sim.count_boundaries(&mut buffer);
             assert!(total > 0, "{spec:?}/{protocol:?}: no snapshot boundaries");
             for kill in 1..=total {
@@ -50,7 +56,7 @@ fn resume_is_bit_identical_at_every_injection_point() {
                     panic!("{spec:?}/{protocol:?}: kill {kill}/{total} did not kill");
                 };
                 buffer.reset(41);
-                let resumed = sim.resume(&mut buffer, &snapshot);
+                let resumed = sim.resume(&mut buffer, &snapshot).unwrap();
                 assert_eq!(
                     resumed.final_time.to_bits(),
                     reference.final_time.to_bits(),
@@ -93,6 +99,12 @@ fn scenario_clocks_resume_bit_identical_at_every_injection_point() {
             buffer.reset(41);
             let reference = sim.run(&mut buffer);
             buffer.reset(41);
+            assert_eq!(
+                reference,
+                engine.simulate_profile_replay(protocol, &profile, &mut buffer),
+                "the resumable run must equal the engine's executor"
+            );
+            buffer.reset(41);
             let total = sim.count_boundaries(&mut buffer);
             assert!(total > 0, "{name}/{protocol:?}: no snapshot boundaries");
             for kill in 1..=total {
@@ -101,7 +113,7 @@ fn scenario_clocks_resume_bit_identical_at_every_injection_point() {
                     panic!("{name}/{protocol:?}: kill {kill}/{total} did not kill");
                 };
                 buffer.reset(41);
-                let resumed = sim.resume(&mut buffer, &snapshot);
+                let resumed = sim.resume(&mut buffer, &snapshot).unwrap();
                 assert_eq!(
                     resumed.final_time.to_bits(),
                     reference.final_time.to_bits(),
@@ -138,6 +150,12 @@ fn trace_clock_resumes_through_the_frame_pipeline() {
         buffer.reset(7);
         let reference = sim.run(&mut buffer);
         buffer.reset(7);
+        assert_eq!(
+            reference,
+            engine.simulate_profile_replay(protocol, &profile, &mut buffer),
+            "the resumable run must equal the engine's executor"
+        );
+        buffer.reset(7);
         let total = sim.count_boundaries(&mut buffer);
         let kill = total / 2 + 1;
         buffer.reset(7);
@@ -152,7 +170,7 @@ fn trace_clock_resumes_through_the_frame_pipeline() {
         assert_eq!(outcome.fallback_depth, 0);
 
         buffer.reset(7);
-        let resumed = sim.resume(&mut buffer, &loaded);
+        let resumed = sim.resume(&mut buffer, &loaded).unwrap();
         assert_eq!(resumed.final_time.to_bits(), reference.final_time.to_bits());
         assert_eq!(resumed.failures, reference.failures);
     }
@@ -171,6 +189,12 @@ fn resume_through_the_frame_pipeline_is_bit_identical() {
         buffer.reset(7);
         let reference = sim.run(&mut buffer);
         buffer.reset(7);
+        assert_eq!(
+            reference,
+            engine.simulate_profile_replay(protocol, &profile, &mut buffer),
+            "the resumable run must equal the engine's executor"
+        );
+        buffer.reset(7);
         let total = sim.count_boundaries(&mut buffer);
         let kill = total / 2 + 1;
         buffer.reset(7);
@@ -185,7 +209,7 @@ fn resume_through_the_frame_pipeline_is_bit_identical() {
         assert_eq!(outcome.fallback_depth, 0);
 
         buffer.reset(7);
-        let resumed = sim.resume(&mut buffer, &loaded);
+        let resumed = sim.resume(&mut buffer, &loaded).unwrap();
         assert_eq!(resumed.final_time.to_bits(), reference.final_time.to_bits());
         assert_eq!(resumed.failures, reference.failures);
     }
@@ -204,6 +228,12 @@ fn corrupted_snapshot_falls_back_to_an_older_intact_generation() {
     let mut buffer = engine.trace_buffer(3);
     buffer.reset(3);
     let reference = sim.run(&mut buffer);
+    buffer.reset(3);
+    assert_eq!(
+        reference,
+        engine.simulate_profile_replay(Protocol::AbftPeriodicCkpt, &profile, &mut buffer),
+        "the resumable run must equal the engine's executor"
+    );
     buffer.reset(3);
     let total = sim.count_boundaries(&mut buffer);
     assert!(total >= 2, "need at least two kill points, have {total}");
@@ -235,7 +265,7 @@ fn corrupted_snapshot_falls_back_to_an_older_intact_generation() {
     assert_eq!(outcome.rejected.len(), 1);
 
     buffer.reset(3);
-    let resumed = sim.resume(&mut buffer, &loaded);
+    let resumed = sim.resume(&mut buffer, &loaded).unwrap();
     assert_eq!(resumed.final_time.to_bits(), reference.final_time.to_bits());
     assert_eq!(resumed.failures, reference.failures);
 }

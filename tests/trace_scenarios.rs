@@ -29,8 +29,8 @@ use abft_ckpt_composite::platform::rng::SeedStream;
 use abft_ckpt_composite::platform::scenario::ScenarioSpec;
 use abft_ckpt_composite::platform::units::{hours, minutes};
 use abft_ckpt_composite::sim::batch::{
-    accumulate_profile_engine_batch, simulate_profile_batch, simulate_profile_batch_antithetic,
-    simulate_profile_batch_replay,
+    accumulate_batch, simulate_profile_batch, simulate_profile_batch_antithetic,
+    simulate_profile_batch_replay, BatchProgram,
 };
 use abft_ckpt_composite::sim::replicate::{
     accumulate_profile_engine, ReplicationBudget, ReplicationPlan,
@@ -149,7 +149,7 @@ fn mid_run_resume_is_bit_identical_for_every_source() {
                 panic!("{name}/{protocol:?}: kill {kill}/{total} did not kill");
             };
             buffer.reset(17);
-            let resumed = sim.resume(&mut buffer, &snapshot);
+            let resumed = sim.resume(&mut buffer, &snapshot).unwrap();
             assert_bit_identical(
                 &resumed,
                 &reference,
@@ -230,14 +230,11 @@ fn replication_accumulators_are_width_invariant() {
             let scalar =
                 accumulate_profile_engine(&engine, Protocol::AbftPeriodicCkpt, &profile, plan, 7);
             for lanes in [1usize, 33, 256] {
-                let batch = accumulate_profile_engine_batch(
-                    &engine,
-                    Protocol::AbftPeriodicCkpt,
-                    &profile,
-                    plan,
-                    7,
-                    lanes,
-                );
+                let program =
+                    BatchProgram::compile(Protocol::AbftPeriodicCkpt, &profile, engine.plan());
+                let batch = accumulate_batch(&engine, &[&program], plan, 7, lanes, 1)
+                    .outcomes
+                    .swap_remove(0);
                 assert_eq!(scalar, batch, "{name} antithetic={antithetic} lanes={lanes}");
             }
         }
